@@ -312,12 +312,15 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 			// out and the next resource tried.
 			pos := h.insertEntry(jobIdx, r)
 			preempt := p.Platform.Resource(r).Preemptable()
-			var ok bool
+			// Recording explains the probe: same verdict, plus the
+			// tightest slack and the deadline that broke.
+			var fv sched.FeasVerdict
+			var sink *sched.FeasVerdict
 			if recording {
-				// Explain-mode probe: same verdict, plus the tightest
-				// slack and the deadline that broke.
-				fv := h.lists[r].FeasibleExplain(preempt, p.Time)
-				ok = fv.Feasible
+				sink = &fv
+			}
+			ok := h.lists[r].Feasible(preempt, p.Time, &h.edf, h.Cache, &h.hitsDelta, &h.missDelta, sink)
+			if recording {
 				cv := telemetry.CandidateVerdict{
 					Job: jobs[jobIdx].ID, Res: r, Des: bf,
 					Slack: fv.Slack, Preempt: preempt, EDFPath: fv.EDFPath,
@@ -329,9 +332,6 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 					cv.Deadline = fv.BreachDeadline
 				}
 				h.prov.Candidate(cv)
-			} else {
-				ok = h.lists[r].FeasibleCached(preempt, p.Time, h.Cache, &h.edf,
-					&h.hitsDelta, &h.missDelta)
 			}
 			if ok {
 				mapping[jobIdx] = r

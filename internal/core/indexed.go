@@ -34,7 +34,7 @@
 // different energies (a rounding collision) are handled by buffering
 // each equal-desirability run and emitting it in ascending resource id,
 // which is the plain scan's tie-break. TestIndexedHeuristicMatchesPlain
-// pins the equivalence over randomized problems; the shardcheck gate
+// pins the equivalence over randomized problems; the race-enabled suite
 // runs it on every `make check`.
 package core
 
@@ -361,8 +361,8 @@ func (h *Heuristic) solveIndexed(p *sched.Problem) Decision {
 				break
 			}
 			pos := h.insertEntryC(jobIdx, r, c)
-			if h.lists[r].FeasibleCached(p.Platform.Resource(r).Preemptable(), p.Time,
-				h.Cache, &h.edf, &h.hitsDelta, &h.missDelta) {
+			if h.lists[r].Feasible(p.Platform.Resource(r).Preemptable(), p.Time,
+				&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, nil) {
 				mapping[jobIdx] = r
 				placed, placedR, placedCpm = true, r, c
 				break

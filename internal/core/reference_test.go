@@ -74,7 +74,7 @@ func referenceSolve(p *sched.Problem, greedy bool) Decision {
 			Rem:      j.CPM(r, p.Policy),
 		}
 		trial := append(append(make([]sched.Entry, 0, len(entries[r])+1), entries[r]...), cand)
-		return sched.ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, trial)
+		return sched.ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, trial, nil)
 	}
 
 	feasibleSet := func(jobIdx int) []int {

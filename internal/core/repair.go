@@ -201,8 +201,8 @@ func (h *Heuristic) Repair(p *sched.Problem, ws *sched.WarmState) (mapping []int
 // probe checks resource r's current entry list, through the cache when
 // one is attached.
 func (h *Heuristic) probe(r int) bool {
-	return h.lists[r].FeasibleCached(h.p.Platform.Resource(r).Preemptable(), h.p.Time,
-		h.Cache, &h.edf, &h.hitsDelta, &h.missDelta)
+	return h.lists[r].Feasible(h.p.Platform.Resource(r).Preemptable(), h.p.Time,
+		&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, nil)
 }
 
 // repairFailed counts and reports an abandoned repair.

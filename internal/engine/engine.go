@@ -340,6 +340,11 @@ type Engine struct {
 	// It exists only to emit job_start/job_preempt/job_finish lifecycle
 	// events and is nil when tracing is disabled.
 	running []*sched.Job
+	// preds holds the current activation's forecast as planning jobs. Its
+	// storage starts out in predBuf and is reused across activations, so
+	// the paper's one-step forecast never allocates a buffer.
+	preds   []*sched.Job
+	predBuf [1]*sched.Job
 	// prov is the decision-provenance arena, non-nil only when
 	// Config.Provenance is on; it is Reset at every activation and
 	// snapshotted into the EvDecision event.
@@ -369,6 +374,7 @@ func New(cfg Config) (*Engine, error) {
 		trc: cfg.Tracer,
 		ins: newInstruments(cfg.Metrics),
 	}
+	r.preds = r.predBuf[:0]
 	if r.trc != nil {
 		r.running = make([]*sched.Job, cfg.Platform.Len())
 		r.critEnergy = make(map[*sched.Job]float64)
@@ -414,36 +420,92 @@ func (r *Engine) AdvanceTo(t float64) error {
 // id idx: advance to the arrival, charge decision overhead, assemble the
 // S̄ problem, run the admission protocol, apply the mapping and rebuild
 // the standing plan. Ids must be issued densely from 0 in activation
-// order (they index the per-request records).
+// order (they index the per-request records). It is the one-request
+// epoch closing at the arrival.
 func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
-	if idx != len(r.rec) {
-		return Outcome{}, fmt.Errorf("engine: activation id %d out of order (want %d)", idx, len(r.rec))
-	}
-	if r.cfg.TaskSet != nil && (req.Type < 0 || req.Type >= r.cfg.TaskSet.Len()) {
-		return Outcome{}, fmt.Errorf("engine: request %d references unknown type %d", idx, req.Type)
-	}
-	if req.Deadline <= 0 {
-		return Outcome{}, fmt.Errorf("engine: request %d has non-positive deadline %v", idx, req.Deadline)
-	}
-	r.rec = append(r.rec, JobRecord{
-		ID:          idx,
-		Type:        req.Type,
-		Arrival:     req.Arrival,
-		AbsDeadline: req.Arrival + req.Deadline,
-	})
-	r.res.Requests++
-	r.ins.requests.Inc()
-	if err := r.advanceTo(req.Arrival); err != nil {
+	reqs := [1]trace.Request{req}
+	var outs [1]Outcome
+	if err := r.activate(idx, reqs[:], req.Arrival, outs[:]); err != nil {
 		return Outcome{}, err
 	}
-	// Emitted after advancing so the stream stays time-ordered: the
-	// execution events between two arrivals carry earlier timestamps.
-	if r.trc != nil {
-		e := telemetry.NewEvent(req.Arrival, telemetry.EvArrival)
-		e.Req = idx
-		e.Task = req.Type
-		e.Value = req.Arrival + req.Deadline
-		r.trc.Emit(e)
+	return outs[0], nil
+}
+
+// ActivateEpoch admits reqs — arrival-ordered, with dense driver ids
+// startIdx, startIdx+1, ... — as one batch epoch that closes at time
+// close, deciding them together at max(now, close + overhead).
+//
+// The paper's protocol is strictly one-by-one: every arrival triggers a
+// full solver activation, so at scale solver setup (problem assembly,
+// prediction, replanning) dominates — a burst of k arrivals pays k
+// replans although only the last plan survives. An epoch amortises that:
+// the arrivals queue (executing nothing — they are not yet admitted), the
+// per-activation overhead (ExtraOverhead, predictor overhead,
+// OverheadHook) is charged once, and the decisions are taken sequentially
+// at the close. Earlier epoch admissions are active state for later
+// ones, so the decision sequence is the paper's protocol evaluated at a
+// single deferred decision time; only the final decision's reservation
+// plan is installed, and the standing schedule is rebuilt once per epoch
+// (DESIGN.md §12.3 discusses how this differs from the paper's
+// semantics).
+func (r *Engine) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	outs := make([]Outcome, len(reqs))
+	if err := r.activate(startIdx, reqs, close, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// activate is the one activation path behind Activate and ActivateEpoch.
+// It validates and takes in every request (recording it, executing the
+// standing plan up to its arrival, observing it for prediction), charges
+// the decision overhead once, makes one forecast that constrains every
+// decision, and decides the requests in order at the shared decision
+// time, writing their outcomes to outs. The closing decision's
+// reservations are then installed by one replan. State probes fire per
+// decision; the closing one fires after the replan, so it reports the
+// installed plan, while earlier ones show the pre-epoch reservations.
+func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, outs []Outcome) error {
+	if startIdx != len(r.rec) {
+		return fmt.Errorf("engine: activation id %d out of order (want %d)", startIdx, len(r.rec))
+	}
+	for i, req := range reqs {
+		if err := req.Check(r.cfg.TaskSet); err != nil {
+			return fmt.Errorf("engine: request %d: %w", startIdx+i, err)
+		}
+		if i > 0 && req.Arrival < reqs[i-1].Arrival {
+			return fmt.Errorf("engine: epoch requests out of arrival order at %d", startIdx+i)
+		}
+	}
+
+	for i, req := range reqs {
+		idx := startIdx + i
+		r.rec = append(r.rec, JobRecord{
+			ID:          idx,
+			Type:        req.Type,
+			Arrival:     req.Arrival,
+			AbsDeadline: req.Arrival + req.Deadline,
+		})
+		r.res.Requests++
+		r.ins.requests.Inc()
+		if err := r.advanceTo(req.Arrival); err != nil {
+			return err
+		}
+		// Emitted after advancing so the stream stays time-ordered: the
+		// execution events between two arrivals carry earlier timestamps.
+		if r.trc != nil {
+			e := telemetry.NewEvent(req.Arrival, telemetry.EvArrival)
+			e.Req = idx
+			e.Task = req.Type
+			e.Value = req.Arrival + req.Deadline
+			r.trc.Emit(e)
+		}
+		if r.cfg.Predictor != nil {
+			r.cfg.Predictor.Observe(idx, req)
+		}
 	}
 
 	overhead := r.cfg.ExtraOverhead
@@ -451,52 +513,104 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 		overhead += r.cfg.Predictor.Overhead()
 	}
 	if r.cfg.OverheadHook != nil {
-		overhead += r.cfg.OverheadHook(idx, req.Arrival)
+		overhead += r.cfg.OverheadHook(startIdx, reqs[0].Arrival)
 	}
-	decisionTime := math.Max(r.now, req.Arrival+overhead)
-	if err := r.advanceTo(decisionTime); err != nil {
-		return Outcome{}, err
+	if err := r.advanceTo(math.Max(r.now, close+overhead)); err != nil {
+		return err
 	}
-
 	if r.cfg.Audit {
-		if err := r.auditState(idx); err != nil {
-			return Outcome{}, err
+		if err := r.auditState(startIdx); err != nil {
+			return err
+		}
+	}
+	r.forecast(startIdx)
+
+	last := len(reqs) - 1
+	var ghosts []ghostRef
+	for i, req := range reqs {
+		var err error
+		if outs[i], ghosts, err = r.decide(startIdx+i, req, ghosts); err != nil {
+			return err
+		}
+		if i < last {
+			r.probe(startIdx + i)
 		}
 	}
 
+	// One replan, installing only the closing decision's reservations:
+	// earlier ones were planning constraints of decisions already
+	// superseded, as each one-by-one replan replaces the previous plan.
+	for _, g := range ghosts {
+		r.ins.resvPlanned.Inc()
+		if r.cfg.WorkConserving {
+			r.ins.resvBackfilled.Inc()
+		}
+		if r.trc != nil {
+			e := telemetry.NewEvent(r.now, telemetry.EvReservationPlanned)
+			e.Req = startIdx + last
+			e.Res = g.res
+			e.Value = g.job.Arrival
+			r.trc.Emit(e)
+			if r.cfg.WorkConserving {
+				e.Type = telemetry.EvReservationBackfilled
+				r.trc.Emit(e)
+			}
+		}
+	}
+	// A rejection installs no reservation but still drops the stale one
+	// (its request has now arrived), keeping the standing mappings.
+	if err := r.replan(ghosts); err != nil {
+		return err
+	}
+	r.probe(startIdx + last)
+	return nil
+}
+
+// forecast refills r.preds with the planning jobs of the predictor's
+// forecast: none without a predictor, the paper's single next request,
+// or Lookahead steps from a MultiPredictor.
+func (r *Engine) forecast(req int) {
+	r.preds = r.preds[:0]
+	if r.cfg.Predictor == nil {
+		return
+	}
+	var preds []predict.Prediction
+	if mp, ok := r.cfg.Predictor.(predict.MultiPredictor); ok && r.cfg.Lookahead > 1 {
+		preds = mp.PredictK(r.cfg.Lookahead)
+	} else if pred, ok := r.cfg.Predictor.Predict(); ok {
+		preds = []predict.Prediction{pred}
+	}
+	for step, pred := range preds {
+		if pred.Type < 0 || pred.Type >= r.cfg.TaskSet.Len() || pred.Deadline <= 0 {
+			continue
+		}
+		pj := sched.NewJob(-1-step, r.cfg.TaskSet.Type(pred.Type), pred.Arrival, pred.Deadline)
+		pj.Predicted = true
+		r.preds = append(r.preds, pj)
+		r.ins.predictions.Inc()
+		if r.trc != nil {
+			e := telemetry.NewEvent(r.now, telemetry.EvPrediction)
+			e.Req = req
+			e.Task = pred.Type
+			e.Value = pred.Arrival
+			r.trc.Emit(e)
+		}
+	}
+}
+
+// decide runs the admission protocol for request idx at the current
+// time: it assembles the S̄ problem (active jobs, the arriving job, the
+// upcoming critical releases, the forecast), solves it and, on
+// admission, applies the mapping. It returns the outcome and the mapped
+// predicted jobs, reusing ghosts' storage (nil on rejection).
+func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome, []ghostRef, error) {
 	newJob := sched.NewJob(idx, r.cfg.TaskSet.Type(req.Type), req.Arrival, req.Deadline)
-	jobs := make([]*sched.Job, 0, len(r.active)+2)
+	jobs := make([]*sched.Job, 0, len(r.active)+1+len(r.preds))
 	jobs = append(jobs, r.active...)
 	newIdx := len(jobs)
 	jobs = append(jobs, newJob)
 	jobs = append(jobs, r.upcomingCritical(jobs)...)
-
-	predicting := false
-	if r.cfg.Predictor != nil {
-		r.cfg.Predictor.Observe(idx, req)
-		var preds []predict.Prediction
-		if mp, ok := r.cfg.Predictor.(predict.MultiPredictor); ok && r.cfg.Lookahead > 1 {
-			preds = mp.PredictK(r.cfg.Lookahead)
-		} else if pred, ok := r.cfg.Predictor.Predict(); ok {
-			preds = []predict.Prediction{pred}
-		}
-		for step, pred := range preds {
-			if pred.Type >= 0 && pred.Type < r.cfg.TaskSet.Len() && pred.Deadline > 0 {
-				pj := sched.NewJob(-1-step, r.cfg.TaskSet.Type(pred.Type), pred.Arrival, pred.Deadline)
-				pj.Predicted = true
-				jobs = append(jobs, pj)
-				predicting = true
-				r.ins.predictions.Inc()
-				if r.trc != nil {
-					e := telemetry.NewEvent(r.now, telemetry.EvPrediction)
-					e.Req = idx
-					e.Task = pred.Type
-					e.Value = pred.Arrival
-					r.trc.Emit(e)
-				}
-			}
-		}
-	}
+	jobs = append(jobs, r.preds...)
 
 	problem := &sched.Problem{
 		Platform: r.cfg.Platform,
@@ -535,7 +649,7 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 			e.Reason = telemetry.ReasonError
 			r.trc.Emit(e)
 		}
-		return Outcome{}, fmt.Errorf("engine: solver failed at request %d (t=%.6f): %w", idx, r.now, solveErr)
+		return Outcome{}, nil, fmt.Errorf("engine: solver failed at request %d (t=%.6f): %w", idx, r.now, solveErr)
 	}
 	if r.trc != nil {
 		e := telemetry.NewEvent(r.now, telemetry.EvSolverReturned)
@@ -561,25 +675,18 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 			r.trc.Emit(e)
 		}
 		r.emitDecision(idx, req.Type, sched.Unmapped, telemetry.ReasonNoFeasibleMapping, 0)
-		// Drop any stale reservation (its request has now arrived) but
-		// keep the standing mappings.
-		if err := r.replan(nil); err != nil {
-			return Outcome{}, err
-		}
-		r.probe(idx)
 		return Outcome{
 			Req:      idx,
 			Time:     r.now,
-			Accepted: false,
 			Resource: sched.Unmapped,
 			Reason:   telemetry.ReasonNoFeasibleMapping,
-		}, nil
+		}, nil, nil
 	}
 	r.res.Accepted++
 	r.ins.accepted.Inc()
 	r.rec[idx].Accepted = true
 	r.apply(problem, decision, newJob)
-	var ghosts []ghostRef
+	ghosts = ghosts[:0]
 	for i, j := range problem.Jobs {
 		if j.Predicted && decision.Mapping[i] != sched.Unmapped {
 			ghosts = append(ghosts, ghostRef{job: j, res: decision.Mapping[i]})
@@ -589,7 +696,7 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 	switch {
 	case len(ghosts) > 0:
 		admitReason = telemetry.ReasonWithReservation
-	case predicting:
+	case len(r.preds) > 0:
 		admitReason = telemetry.ReasonPredictionDropped
 	}
 	r.reasonCounter("sim.admit_reason.", admitReason)
@@ -602,29 +709,8 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 		r.trc.Emit(e)
 	}
 	r.emitDecision(idx, req.Type, decision.Mapping[newIdx], admitReason, decision.Energy)
-	for _, g := range ghosts {
-		r.ins.resvPlanned.Inc()
-		if r.cfg.WorkConserving {
-			r.ins.resvBackfilled.Inc()
-		}
-		if r.trc != nil {
-			e := telemetry.NewEvent(r.now, telemetry.EvReservationPlanned)
-			e.Req = idx
-			e.Res = g.res
-			e.Value = g.job.Arrival
-			r.trc.Emit(e)
-			if r.cfg.WorkConserving {
-				e.Type = telemetry.EvReservationBackfilled
-				r.trc.Emit(e)
-			}
-		}
-	}
 	r.ins.activeJobs.Observe(float64(len(r.active)))
 	r.ins.activePeak.Set(float64(len(r.active)))
-	if err := r.replan(ghosts); err != nil {
-		return Outcome{}, err
-	}
-	r.probe(idx)
 	return Outcome{
 		Req:      idx,
 		Time:     r.now,
@@ -632,7 +718,7 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 		Resource: decision.Mapping[newIdx],
 		Reason:   admitReason,
 		Energy:   decision.Energy,
-	}, nil
+	}, ghosts, nil
 }
 
 // Drain runs the remaining work out in engine time: critical releases are

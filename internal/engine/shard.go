@@ -195,37 +195,17 @@ func (s *Sharded) route(typeID int) (int, error) {
 	return 0, fmt.Errorf("engine: no shard can execute type %d", typeID)
 }
 
-// Activate routes one request to a shard and runs its admission there.
+// Activate routes one request to a shard and runs its admission there:
+// the one-request epoch closing at the arrival.
 func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 	if s.single != nil {
 		return s.single.Activate(idx, req)
 	}
-	if idx != len(s.routes) {
-		return Outcome{}, fmt.Errorf("engine: activation id %d out of order (want %d)", idx, len(s.routes))
-	}
-	// Advance every shard to the arrival first: completions free capacity
-	// (and shrink loads) platform-wide before the routing decision.
-	for si := range s.shards {
-		if err := s.shards[si].eng.AdvanceTo(req.Arrival); err != nil {
-			return Outcome{}, err
-		}
-	}
-	s.syncLoads()
-	si, err := s.route(req.Type)
+	outs, err := s.ActivateEpoch(idx, []trace.Request{req}, req.Arrival)
 	if err != nil {
 		return Outcome{}, err
 	}
-	sh := &s.shards[si]
-	local := sh.eng.Requests()
-	out, err := sh.eng.Activate(local, req)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("shard %d: %w", si, err)
-	}
-	s.routes = append(s.routes, si)
-	sh.locals = append(sh.locals, idx)
-	s.globalize(&out, si, idx)
-	s.probeGlobal(idx)
-	return out, nil
+	return outs[0], nil
 }
 
 // ActivateEpoch routes a batch of arrivals across the shards and runs

@@ -8,6 +8,7 @@ import (
 
 	"predrm/internal/core"
 	"predrm/internal/platform"
+	"predrm/internal/predict"
 	"predrm/internal/rng"
 	"predrm/internal/task"
 	"predrm/internal/trace"
@@ -177,7 +178,9 @@ func TestShardedAdvanceToLateHarmless(t *testing.T) {
 
 // TestBatchEpochSingletonDelegates: a one-request epoch closing at its
 // own arrival is the one-by-one protocol — byte-identical Results on a
-// bare (unsharded) Engine.
+// bare (unsharded) Engine. Both sides run the one activation path, so
+// this guards the entry points' wiring; the sim package's golden files
+// pin the path itself.
 func TestBatchEpochSingletonDelegates(t *testing.T) {
 	set, err := task.Generate(platform.Default(), task.DefaultGenConfig(), rng.New(91))
 	if err != nil {
@@ -225,8 +228,10 @@ func TestBatchEpochSingletonDelegates(t *testing.T) {
 }
 
 // TestBatchEpochDecidesAtClose: every decision of a multi-request epoch
-// is taken at the epoch close (no overhead configured), and the arrivals
-// were all recorded at their own times.
+// is taken at the epoch close (no overhead configured), the arrivals were
+// all recorded at their own times, and the closing state sample reports
+// the plan the epoch installed, reservations included — as Activate's
+// sample does.
 func TestBatchEpochDecidesAtClose(t *testing.T) {
 	set, err := task.Generate(platform.Default(), task.DefaultGenConfig(), rng.New(95))
 	if err != nil {
@@ -240,17 +245,31 @@ func TestBatchEpochDecidesAtClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Platform: platform.Default(), TaskSet: set, Solver: &core.Heuristic{}})
+	oracle, err := predict.NewOracle(tr, predict.OracleConfig{TypeAccuracy: 1, NumTypes: set.Len(), Seed: 97})
 	if err != nil {
 		t.Fatal(err)
 	}
-	close := tr.Requests[len(tr.Requests)-1].Arrival + 2
-	outs, err := e.ActivateEpoch(0, tr.Requests, close)
+	var samples []StateSample
+	e, err := New(Config{
+		Platform: platform.Default(), TaskSet: set, Solver: &core.Heuristic{}, Predictor: oracle,
+		StateProbe: func(s StateSample) {
+			s.Resources = append([]ResourceSample(nil), s.Resources...)
+			samples = append(samples, s)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != len(tr.Requests) {
-		t.Fatalf("got %d outcomes for %d requests", len(outs), len(tr.Requests))
+	// The epoch leaves the last requests out, so the forecast has a next
+	// request to reserve for.
+	epoch := tr.Requests[:len(tr.Requests)-2]
+	close := epoch[len(epoch)-1].Arrival + 2
+	outs, err := e.ActivateEpoch(0, epoch, close)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(epoch) {
+		t.Fatalf("got %d outcomes for %d requests", len(outs), len(epoch))
 	}
 	for i, out := range outs {
 		if out.Req != i {
@@ -260,8 +279,31 @@ func TestBatchEpochDecidesAtClose(t *testing.T) {
 			t.Fatalf("outcome %d decided at %v, want epoch close %v", i, out.Time, close)
 		}
 	}
-	if e.Requests() != len(tr.Requests) {
-		t.Fatalf("engine counted %d requests, want %d", e.Requests(), len(tr.Requests))
+	if e.Requests() != len(epoch) {
+		t.Fatalf("engine counted %d requests, want %d", e.Requests(), len(epoch))
+	}
+	if len(samples) != len(epoch) {
+		t.Fatalf("got %d state samples for %d decisions", len(samples), len(epoch))
+	}
+	closing := samples[len(samples)-1]
+	if closing.Req != len(epoch)-1 {
+		t.Fatalf("closing sample is for request %d, want %d", closing.Req, len(epoch)-1)
+	}
+	reserved := 0
+	for res, rs := range closing.Resources {
+		want := 0
+		for _, g := range e.pendingResv {
+			if g.res == res {
+				want++
+			}
+		}
+		if rs.Reserved != want {
+			t.Fatalf("closing sample reserves %d on resource %d, installed plan %d", rs.Reserved, res, want)
+		}
+		reserved += rs.Reserved
+	}
+	if reserved == 0 {
+		t.Fatal("closing sample shows no reservation; fixture exercises nothing")
 	}
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)

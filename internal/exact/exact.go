@@ -170,11 +170,11 @@ type Optimal struct {
 }
 
 // feasibleList probes one entry list, going through the cache when
-// enabled (sched.EntryList.FeasibleCached). hits/misses batch the probe
+// enabled (sched.EntryList.Feasible). hits/misses batch the probe
 // statistics caller-side so search workers pay no per-probe atomics.
 func feasibleList(p *sched.Problem, l *sched.EntryList, res int, cache *sched.FeasCache,
 	edf *sched.EDFScratch, hits, misses *int64) bool {
-	return l.FeasibleCached(p.Platform.Resource(res).Preemptable(), p.Time, cache, edf, hits, misses)
+	return l.Feasible(p.Platform.Resource(res).Preemptable(), p.Time, edf, cache, hits, misses, nil)
 }
 
 // feasible checks resource res's current entry list on the serial path.

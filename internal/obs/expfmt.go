@@ -27,8 +27,8 @@ import (
 //     equals <name>_count;
 //   - no duplicate samples (same name and label set).
 //
-// Tests use it against WritePrometheus output; make obscheck scrapes a
-// live server and runs it on /metrics.
+// Tests use it against WritePrometheus output and on the /metrics of a
+// live server.
 func ValidateExposition(r io.Reader) []error {
 	var errs []error
 	sc := bufio.NewScanner(r)

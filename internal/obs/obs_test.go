@@ -380,7 +380,7 @@ func TestExplainzErrors(t *testing.T) {
 // TestPlaneProbeConcurrentStatusz drives StateProbe, the per-reason
 // counters, and tracer emission from a writer goroutine while /statusz,
 // /metrics, and /explainz scrape concurrently — the race detector guards
-// the plane's synchronization (run via the obscheck -race gate).
+// the plane's synchronization (make check runs it under -race).
 func TestPlaneProbeConcurrentStatusz(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{RingSize: 256})

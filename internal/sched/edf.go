@@ -43,15 +43,95 @@ type Segment struct {
 // the point each entry completes); feasible is false as soon as any entry
 // finishes past its deadline.
 func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, feasible bool) {
-	n := len(entries)
-	if n == 0 {
+	if len(entries) == 0 {
 		return nil, true
 	}
-	rem := make([]float64, n)
+	feasible = simulateEDF(preemptable, t, entries, make([]float64, len(entries)), &segs, nil)
+	return segs, feasible
+}
+
+// ResourceFeasible reports whether entries are EDF-schedulable on a single
+// resource from time t. It is SimulateEDF without schedule construction,
+// plus cheap necessary-condition cuts, and is the hot path of every RM.
+// With a reused non-nil scratch the check performs no allocations in
+// steady state; a nil scratch means per-call buffers.
+func ResourceFeasible(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
+	// Necessary condition: each entry alone must fit its window.
+	for _, e := range entries {
+		if e.Rem > e.Deadline-maxf(e.ReadyAt, t)+Eps {
+			return false
+		}
+	}
+	if len(entries) <= 1 {
+		return true
+	}
+	if s == nil {
+		s = new(EDFScratch)
+	}
+	// Fast path: all ready now, no pinned entry ordering concerns beyond
+	// EDF — cumulative EDF check without simulation.
+	for _, e := range entries {
+		if e.ReadyAt > t+Eps {
+			return simulateEDF(preemptable, t, entries, s.rems(len(entries)), nil, nil)
+		}
+	}
+	return allReadyFeasible(preemptable, t, entries, s)
+}
+
+// allReadyFeasible checks EDF feasibility when every entry is ready at t.
+// With synchronous release, preemptive and non-preemptive EDF coincide and
+// feasibility is the cumulative-demand check over the deadline order — with
+// the exception that a pinned entry is served first on non-preemptable
+// resources. The service order is built in the scratch's index buffer with
+// an insertion sort: entry counts per resource are small, and the stable
+// in-place sort keeps the check allocation-free.
+func allReadyFeasible(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
+	order := s.order[:0]
+	if cap(order) < len(entries) {
+		order = make([]int, 0, len(entries))
+	}
+	for i := range entries {
+		order = append(order, i)
+	}
+	s.order = order
+	for i := 1; i < len(order); i++ {
+		for k := i; k > 0 && entryBefore(preemptable, &entries[order[k]], &entries[order[k-1]]); k-- {
+			order[k], order[k-1] = order[k-1], order[k]
+		}
+	}
+	finish := t
+	for _, idx := range order {
+		finish += entries[idx].Rem
+		if finish > entries[idx].Deadline+Eps {
+			return false
+		}
+	}
+	return true
+}
+
+// entryBefore is the strict service order of allReadyFeasible: the pinned
+// occupant of a non-preemptable resource first, then ascending deadline.
+// Equal keys keep input order via the stable insertion sort.
+func entryBefore(preemptable bool, a, b *Entry) bool {
+	if !preemptable && a.PinnedFirst != b.PinnedFirst {
+		return a.PinnedFirst
+	}
+	return a.Deadline < b.Deadline
+}
+
+// simulateEDF is the one EDF event simulation behind SimulateEDF,
+// ResourceFeasible and the explained probe. rem is its remaining-work
+// buffer, one slot per entry. Both sinks are optional: segs receives the
+// constructed schedule, v the explained verdict (tightest completion
+// slack, the first entry in index order that broke its deadline), whose
+// Slack the caller initialises to +Inf. With either sink the simulation
+// runs to the end; with neither it returns at the first deadline miss.
+func simulateEDF(preemptable bool, t float64, entries []Entry, rem []float64, segs *[]Segment, v *FeasVerdict) bool {
 	for i, e := range entries {
 		rem[i] = e.Rem
 	}
-	feasible = true
+	var out []Segment // the segment sink's schedule, kept local in the loop
+	feasible := true
 	now := t
 	var running = Unmapped // entry currently committed on a non-preemptable resource
 	for {
@@ -96,7 +176,7 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 				}
 			}
 			if !found {
-				return segs, feasible
+				break
 			}
 			now = next
 			continue
@@ -114,192 +194,55 @@ func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, 
 		} else {
 			running = pick
 		}
-		ran := until - now
-		rem[pick] -= ran
-		if len(segs) > 0 && segs[len(segs)-1].Index == pick && segs[len(segs)-1].End >= now-Eps {
-			segs[len(segs)-1].End = until
-		} else {
-			segs = append(segs, Segment{Index: pick, Start: now, End: until})
+		rem[pick] -= until - now
+		if segs != nil {
+			if n := len(out); n > 0 && out[n-1].Index == pick && out[n-1].End >= now-Eps {
+				out[n-1].End = until
+			} else {
+				out = append(out, Segment{Index: pick, Start: now, End: until})
+			}
 		}
 		now = until
 		if rem[pick] <= Eps {
+			// A completed entry keeps its negated completion time — still
+			// "no work left" to the dispatch rules — which the verdict
+			// sink reads back below. A completion at or before time 0
+			// (only possible on a negative clock) is stored as 0 and
+			// reported as unserved.
 			rem[pick] = 0
+			if now > 0 {
+				rem[pick] = -now
+			}
 			if !preemptable {
 				running = Unmapped
 			}
 			if now > entries[pick].Deadline+Eps {
+				if segs == nil && v == nil {
+					return false
+				}
 				feasible = false
 			}
 		}
 	}
-}
-
-// ResourceFeasible reports whether entries are EDF-schedulable on a single
-// resource from time t. It is SimulateEDF without schedule construction,
-// plus cheap necessary-condition cuts, and is the hot path of every RM.
-// Callers in a solver loop should prefer ResourceFeasibleScratch with a
-// reused EDFScratch to avoid the per-call buffer allocations.
-func ResourceFeasible(preemptable bool, t float64, entries []Entry) bool {
-	return ResourceFeasibleScratch(preemptable, t, entries, nil)
-}
-
-// ResourceFeasibleScratch is ResourceFeasible with caller-provided scratch
-// buffers; with a reused non-nil scratch the check performs no allocations
-// in steady state. A nil scratch falls back to per-call buffers.
-func ResourceFeasibleScratch(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
-	// Necessary condition: each entry alone must fit its window.
-	for _, e := range entries {
-		if e.Rem > e.Deadline-maxf(e.ReadyAt, t)+Eps {
-			return false
-		}
+	if segs != nil {
+		*segs = out
 	}
-	if len(entries) <= 1 {
-		return true
-	}
-	var local EDFScratch
-	if s == nil {
-		s = &local
-	}
-	// Fast path: all ready now, no pinned entry ordering concerns beyond
-	// EDF — cumulative EDF check without simulation.
-	simple := true
-	for _, e := range entries {
-		if e.ReadyAt > t+Eps {
-			simple = false
-			break
-		}
-	}
-	if simple {
-		return allReadyFeasible(preemptable, t, entries, s)
-	}
-	return feasibleEDF(preemptable, t, entries, s)
-}
-
-// allReadyFeasible checks EDF feasibility when every entry is ready at t.
-// With synchronous release, preemptive and non-preemptive EDF coincide and
-// feasibility is the cumulative-demand check over the deadline order — with
-// the exception that a pinned entry is served first on non-preemptable
-// resources. The service order is built in the scratch's index buffer with
-// an insertion sort: entry counts per resource are small, and the stable
-// in-place sort keeps the check allocation-free.
-func allReadyFeasible(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
-	order := s.order[:0]
-	if cap(order) < len(entries) {
-		order = make([]int, 0, len(entries))
-	}
-	for i := range entries {
-		order = append(order, i)
-	}
-	s.order = order
-	for i := 1; i < len(order); i++ {
-		for k := i; k > 0 && entryBefore(preemptable, &entries[order[k]], &entries[order[k-1]]); k-- {
-			order[k], order[k-1] = order[k-1], order[k]
-		}
-	}
-	finish := t
-	for _, idx := range order {
-		finish += entries[idx].Rem
-		if finish > entries[idx].Deadline+Eps {
-			return false
-		}
-	}
-	return true
-}
-
-// entryBefore is the strict service order of allReadyFeasible: the pinned
-// occupant of a non-preemptable resource first, then ascending deadline.
-// Equal keys keep input order via the stable insertion sort.
-func entryBefore(preemptable bool, a, b *Entry) bool {
-	if !preemptable && a.PinnedFirst != b.PinnedFirst {
-		return a.PinnedFirst
-	}
-	return a.Deadline < b.Deadline
-}
-
-// feasibleEDF is SimulateEDF without schedule construction: it reports
-// deadline feasibility only, returning at the first miss, and takes its
-// remaining-work buffer from the scratch. The dispatch rules are identical
-// to SimulateEDF's.
-func feasibleEDF(preemptable bool, t float64, entries []Entry, s *EDFScratch) bool {
-	n := len(entries)
-	rem := s.rem
-	if cap(rem) < n {
-		rem = make([]float64, n)
-	}
-	rem = rem[:n]
-	s.rem = rem
-	for i, e := range entries {
-		rem[i] = e.Rem
-	}
-	now := t
-	var running = Unmapped // entry currently committed on a non-preemptable resource
-	for {
-		pick := Unmapped
-		if !preemptable && running != Unmapped && rem[running] > Eps {
-			pick = running
-		} else {
-			running = Unmapped
-			pinnedPick := Unmapped
-			for i := range entries {
-				if rem[i] <= Eps || entries[i].ReadyAt > now+Eps {
-					continue
-				}
-				if !preemptable && entries[i].PinnedFirst {
-					// Earliest-deadline pinned occupant first (see
-					// SimulateEDF): dispatch independent of entry order.
-					if pinnedPick == Unmapped || entries[i].Deadline < entries[pinnedPick].Deadline-Eps {
-						pinnedPick = i
-					}
-					continue
-				}
-				if pick == Unmapped || entries[i].Deadline < entries[pick].Deadline-Eps {
-					pick = i
-				}
+	if v != nil {
+		v.Feasible = feasible
+		for i := range entries {
+			if rem[i] >= 0 {
+				continue // never served (zero demand)
 			}
-			if pinnedPick != Unmapped {
-				pick = pinnedPick
+			slack := entries[i].Deadline + rem[i]
+			if slack < v.Slack {
+				v.Slack = slack
 			}
-		}
-		if pick == Unmapped {
-			// Idle: jump to the next release, or finish.
-			next := 0.0
-			found := false
-			for i := range entries {
-				if rem[i] > Eps && (!found || entries[i].ReadyAt < next) {
-					next = entries[i].ReadyAt
-					found = true
-				}
-			}
-			if !found {
-				return true
-			}
-			now = next
-			continue
-		}
-		until := now + rem[pick]
-		if preemptable {
-			// Break at the next future release so a newly ready entry can
-			// preempt.
-			for i := range entries {
-				if rem[i] > Eps && entries[i].ReadyAt > now+Eps && entries[i].ReadyAt < until {
-					until = entries[i].ReadyAt
-				}
-			}
-		} else {
-			running = pick
-		}
-		rem[pick] -= until - now
-		now = until
-		if rem[pick] <= Eps {
-			rem[pick] = 0
-			if !preemptable {
-				running = Unmapped
-			}
-			if now > entries[pick].Deadline+Eps {
-				return false
+			if slack < -Eps && v.BreachDeadline == 0 {
+				v.BreachDeadline = entries[i].Deadline
 			}
 		}
 	}
+	return feasible
 }
 
 // FeasibleSorted checks EDF feasibility of entries that are all ready at t
@@ -310,10 +253,23 @@ func feasibleEDF(preemptable bool, t float64, entries []Entry, s *EDFScratch) bo
 // allocation-free hot path of the mapping solvers, which keep their
 // per-resource entry lists sorted incrementally.
 func FeasibleSorted(t float64, entries []Entry) bool {
+	return feasibleSorted(t, entries, nil)
+}
+
+// feasibleSorted is the one cumulative-demand scan. Without a verdict
+// sink it returns at the first miss. With one it folds every entry into
+// v (initialised and read by the caller), so v.Slack reports the
+// tightest (most negative) margin while v.BreachDeadline pins the first
+// entry that missed — the deadline the verdict hinges on — and its own
+// result is then always true. It stays within the inlining budget, so
+// FeasibleSorted's nil sink folds away.
+func feasibleSorted(t float64, entries []Entry, v *FeasVerdict) bool {
 	finish := t
-	for i := range entries {
-		finish += entries[i].Rem
-		if finish > entries[i].Deadline+Eps {
+	for _, e := range entries {
+		finish += e.Rem
+		if v != nil {
+			v.sorted(e.Deadline, finish)
+		} else if finish > e.Deadline+Eps {
 			return false
 		}
 	}

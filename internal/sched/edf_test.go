@@ -180,7 +180,7 @@ func TestResourceFeasibleMatchesSimulation(t *testing.T) {
 		}
 		for _, preempt := range []bool{true, false} {
 			_, simOK := SimulateEDF(preempt, t0, entries)
-			if got := ResourceFeasible(preempt, t0, entries); got != simOK {
+			if got := ResourceFeasible(preempt, t0, entries, nil); got != simOK {
 				return false
 			}
 		}
@@ -194,7 +194,7 @@ func TestResourceFeasibleMatchesSimulation(t *testing.T) {
 func TestResourceFeasibleNecessaryCut(t *testing.T) {
 	// A single entry that cannot fit its own window must be rejected even
 	// without simulation.
-	if ResourceFeasible(true, 0, []Entry{{ReadyAt: 4, Deadline: 6, Rem: 3}}) {
+	if ResourceFeasible(true, 0, []Entry{{ReadyAt: 4, Deadline: 6, Rem: 3}}, nil) {
 		t.Fatal("entry with Rem > window accepted")
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EntryList maintains one resource's candidate entries in service order —
 // pinned occupants first (by deadline among themselves), then the rest in
@@ -121,41 +124,55 @@ func (l *EntryList) Remove(t float64, pos int) {
 }
 
 // Feasible reports whether the list is EDF-schedulable on its resource
-// from time t, taking the allocation-free sorted cumulative scan whenever
-// no future release is present and falling back to the scratch-buffered
-// EDF simulation otherwise.
-func (l *EntryList) Feasible(preemptable bool, t float64, s *EDFScratch) bool {
-	if l.future == 0 {
-		return FeasibleSorted(t, l.entries)
-	}
-	return ResourceFeasibleScratch(preemptable, t, l.entries, s)
-}
-
-// FeasibleCached is Feasible routed through a feasibility cache: the
-// list's incremental fingerprint keys a lookup, and only a miss runs the
-// actual check (whose verdict is then stored). A nil cache degrades to a
-// plain Feasible. hits/misses batch the probe statistics caller-side so
-// concurrent search workers pay no per-probe atomics. The list must have
-// fingerprinting enabled when cache is non-nil.
+// from time t: the allocation-free sorted cumulative scan while no future
+// release is present, the EDF simulation on s's buffers otherwise.
 //
-// A cached verdict is the verdict Feasible computed for an identical
-// normalised entry multiset, so routing probes through a cache never
-// changes a caller's decisions (modulo 128-bit fingerprint collisions,
-// which PR 5 already accepts for the exact solver).
-func (l *EntryList) FeasibleCached(preemptable bool, t float64, cache *FeasCache,
-	s *EDFScratch, hits, misses *int64) bool {
-	if cache == nil {
-		return l.Feasible(preemptable, t, s)
+// A non-nil cache routes the probe through a feasibility cache: the
+// list's incremental fingerprint (which must be enabled) keys a lookup,
+// and only a miss runs the actual check, whose verdict is then stored.
+// hits/misses batch the probe statistics caller-side so concurrent search
+// workers pay no per-probe atomics. A cached verdict is the verdict the
+// check computed for an identical normalised entry multiset, so the cache
+// never changes a caller's decisions (modulo 128-bit fingerprint
+// collisions, which the exact solver's cache accepts as well).
+//
+// A non-nil v receives the explained verdict for the provenance plane —
+// the tightest slack, the deadline that broke and the path that decided;
+// an explained probe neither reads nor writes the cache.
+func (l *EntryList) Feasible(preemptable bool, t float64, s *EDFScratch,
+	cache *FeasCache, hits, misses *int64, v *FeasVerdict) bool {
+	if cache == nil || v != nil {
+		return l.check(preemptable, t, s, v)
 	}
 	fp := l.FeasFingerprint(preemptable)
-	if v, ok := cache.Lookup(fp); ok {
+	if ok, hit := cache.Lookup(fp); hit {
 		*hits++
-		return v
+		return ok
 	}
 	*misses++
-	v := l.Feasible(preemptable, t, s)
-	cache.Store(fp, v)
-	return v
+	ok := l.check(preemptable, t, s, nil)
+	cache.Store(fp, ok)
+	return ok
+}
+
+// check is the uncached probe of Feasible.
+func (l *EntryList) check(preemptable bool, t float64, s *EDFScratch, v *FeasVerdict) bool {
+	if v == nil {
+		if l.future == 0 {
+			return FeasibleSorted(t, l.entries)
+		}
+		return ResourceFeasible(preemptable, t, l.entries, s)
+	}
+	*v = FeasVerdict{Feasible: true, Slack: math.Inf(1), EDFPath: l.future > 0}
+	if l.future == 0 {
+		feasibleSorted(t, l.entries, v)
+	} else {
+		simulateEDF(preemptable, t, l.entries, s.rems(len(l.entries)), nil, v)
+	}
+	if math.IsInf(v.Slack, 1) {
+		v.Slack = 0 // nothing served: trivially feasible, no margin to report
+	}
+	return v.Feasible
 }
 
 // Invariant checks the FeasibleSorted precondition — a pinned prefix

@@ -71,8 +71,8 @@ func TestEntryListFeasibleMatchesResourceFeasible(t *testing.T) {
 			l.Insert(now, e)
 		}
 		var s EDFScratch
-		got := l.Feasible(preemptable, now, &s)
-		want := ResourceFeasible(preemptable, now, append([]Entry(nil), l.Entries()...))
+		got := l.Feasible(preemptable, now, &s, nil, nil, nil, nil)
+		want := ResourceFeasible(preemptable, now, append([]Entry(nil), l.Entries()...), nil)
 		if got != want {
 			t.Fatalf("trial %d (preemptable=%v): Feasible=%v, ResourceFeasible=%v on %+v",
 				trial, preemptable, got, want, l.Entries())
@@ -93,8 +93,8 @@ func TestResourceFeasibleScratchReuse(t *testing.T) {
 			entries[i] = randomEntry(r, now)
 		}
 		preemptable := r.Float64() < 0.5
-		if got, want := ResourceFeasibleScratch(preemptable, now, entries, &s),
-			ResourceFeasible(preemptable, now, entries); got != want {
+		if got, want := ResourceFeasible(preemptable, now, entries, &s),
+			ResourceFeasible(preemptable, now, entries, nil); got != want {
 			t.Fatalf("trial %d: scratch %v, fresh %v", trial, got, want)
 		}
 	}
@@ -128,7 +128,7 @@ func benchmarkResourceFeasible(b *testing.B, preemptable, future bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ResourceFeasibleScratch(preemptable, t, entries, &s)
+		ResourceFeasible(preemptable, t, entries, &s)
 	}
 }
 

@@ -1,13 +1,11 @@
 package sched
 
-import "math"
-
 // FeasVerdict is the explained result of one feasibility probe: besides
 // the boolean the hot path computes, it reports how tight the schedule is
 // and, when infeasible, which deadline broke. It feeds the decision-
-// provenance plane; the allocation-free Feasible path is untouched.
+// provenance plane through EntryList.Feasible's verdict sink.
 type FeasVerdict struct {
-	// Feasible mirrors EntryList.Feasible for the same state.
+	// Feasible mirrors the probe's boolean result.
 	Feasible bool
 	// Slack is the tightest deadline slack over the served entries
 	// (deadline minus completion; negative exactly when infeasible under
@@ -21,66 +19,14 @@ type FeasVerdict struct {
 	EDFPath bool
 }
 
-// FeasibleExplain is EntryList.Feasible with provenance: same verdict,
-// plus the tightest slack and the deadline that broke. It allocates (the
-// EDF path builds the full schedule) and is meant for the opt-in
-// provenance recording path only.
-func (l *EntryList) FeasibleExplain(preemptable bool, t float64) FeasVerdict {
-	if l.future == 0 {
-		return feasibleSortedExplain(t, l.entries)
+// sorted folds one entry of the cumulative scan, completing at finish,
+// into the verdict.
+func (v *FeasVerdict) sorted(deadline, finish float64) {
+	if slack := deadline - finish; slack < v.Slack {
+		v.Slack = slack
 	}
-	return feasibleEDFExplain(preemptable, t, l.entries)
-}
-
-// feasibleSortedExplain is FeasibleSorted with slack tracking. Unlike the
-// hot scan it keeps going past the first miss so Slack reports the
-// tightest (most negative) margin, but BreachDeadline pins the first
-// entry that missed — the deadline the verdict hinges on.
-func feasibleSortedExplain(t float64, entries []Entry) FeasVerdict {
-	v := FeasVerdict{Feasible: true, Slack: math.Inf(1)}
-	finish := t
-	for i := range entries {
-		finish += entries[i].Rem
-		slack := entries[i].Deadline - finish
-		if slack < v.Slack {
-			v.Slack = slack
-		}
-		if v.Feasible && finish > entries[i].Deadline+Eps {
-			v.Feasible = false
-			v.BreachDeadline = entries[i].Deadline
-		}
+	if v.Feasible && finish > deadline+Eps {
+		v.Feasible = false
+		v.BreachDeadline = deadline
 	}
-	if math.IsInf(v.Slack, 1) {
-		v.Slack = 0 // empty list: trivially feasible, no margin to report
-	}
-	return v
-}
-
-// feasibleEDFExplain runs the full EDF construction and derives per-entry
-// completion times from the segments.
-func feasibleEDFExplain(preemptable bool, t float64, entries []Entry) FeasVerdict {
-	segs, feasible := SimulateEDF(preemptable, t, entries)
-	v := FeasVerdict{Feasible: feasible, Slack: math.Inf(1), EDFPath: true}
-	finish := make([]float64, len(entries))
-	for _, s := range segs {
-		if s.End > finish[s.Index] {
-			finish[s.Index] = s.End
-		}
-	}
-	for i := range entries {
-		if finish[i] == 0 {
-			continue // never served (zero demand)
-		}
-		slack := entries[i].Deadline - finish[i]
-		if slack < v.Slack {
-			v.Slack = slack
-		}
-		if slack < -Eps && v.BreachDeadline == 0 {
-			v.BreachDeadline = entries[i].Deadline
-		}
-	}
-	if math.IsInf(v.Slack, 1) {
-		v.Slack = 0
-	}
-	return v
 }

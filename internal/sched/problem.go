@@ -163,7 +163,7 @@ func (p *Problem) FeasibleMapping(mapping []int) bool {
 		if len(buckets[r]) == 0 {
 			continue
 		}
-		if !ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, buckets[r]) {
+		if !ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, buckets[r], nil) {
 			return false
 		}
 	}

@@ -1,13 +1,26 @@
 package sched
 
 // EDFScratch holds the reusable buffers of the EDF feasibility routines
-// (ResourceFeasibleScratch and EntryList.Feasible): the remaining-work
-// vector of the event simulation and the index buffer of the synchronous
-// cumulative check. Solvers own one scratch per instance and thread it
-// through every probe, making the decision hot path allocation-free in
-// steady state. The zero value is ready to use; buffers grow on demand and
-// are retained across calls. An EDFScratch is not safe for concurrent use.
+// (ResourceFeasible and EntryList.Feasible): the remaining-work vector of
+// the event simulation and the index buffer of the synchronous cumulative
+// check. Solvers own one scratch per instance and thread it through every
+// probe, making the decision hot path allocation-free in steady state. The
+// zero value is ready to use; buffers grow on demand and are retained
+// across calls. An EDFScratch is not safe for concurrent use.
 type EDFScratch struct {
 	rem   []float64
 	order []int
+}
+
+// rems returns the remaining-work buffer sized to n; a nil scratch
+// allocates a fresh one.
+func (s *EDFScratch) rems(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	if cap(s.rem) < n {
+		s.rem = make([]float64, n)
+	}
+	s.rem = s.rem[:n]
+	return s.rem
 }

@@ -28,7 +28,7 @@ func TestFeasibleSortedMatchesResourceFeasible(t *testing.T) {
 		// Sort ascending by deadline (no pinned entries here: that is the
 		// preemptive-resource case).
 		sort.Slice(entries, func(a, b int) bool { return entries[a].Deadline < entries[b].Deadline })
-		want := ResourceFeasible(true, t0, entries)
+		want := ResourceFeasible(true, t0, entries, nil)
 		got := FeasibleSorted(t0, entries)
 		return got == want
 	}
@@ -48,7 +48,7 @@ func TestFeasibleSortedPinnedFirst(t *testing.T) {
 	if !FeasibleSorted(0, entries) {
 		t.Fatal("feasible pinned layout rejected")
 	}
-	got := ResourceFeasible(false, 0, entries)
+	got := ResourceFeasible(false, 0, entries, nil)
 	if !got {
 		t.Fatal("ResourceFeasible disagrees on pinned layout")
 	}
@@ -57,7 +57,7 @@ func TestFeasibleSortedPinnedFirst(t *testing.T) {
 	if FeasibleSorted(0, entries) {
 		t.Fatal("infeasible pinned layout accepted")
 	}
-	if ResourceFeasible(false, 0, entries) {
+	if ResourceFeasible(false, 0, entries, nil) {
 		t.Fatal("ResourceFeasible disagrees on infeasible pinned layout")
 	}
 }

@@ -15,9 +15,11 @@ type ShardConfig = engine.ShardConfig
 // engine.Sharded — routed across the shards and solved per shard.
 //
 // With one shard and a zero window this is byte-identical to Run: the
-// sharded engine delegates to a bare Engine and a single-request epoch
-// closing at its own arrival delegates to Activate. The shardcheck gate
-// pins both equivalences.
+// sharded engine delegates to a bare Engine, whose Activate is the
+// one-request epoch of the same activation path ActivateEpoch runs.
+// TestShardedOneShardMatchesUnsharded pins the equivalence, and golden
+// files pin the batched path (TestBatchEpochGolden) and 4-shard
+// one-by-one admission (TestShardedWindowZeroGolden).
 func RunSharded(cfg Config, sc ShardConfig, tr *trace.Trace) (*Result, error) {
 	if err := tr.Validate(cfg.TaskSet); err != nil {
 		return nil, err

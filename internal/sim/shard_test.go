@@ -130,7 +130,9 @@ func TestShardedOneShardMatchesUnshardedGolden(t *testing.T) {
 // TestBatchEpochWindowZeroMatchesOneByOne: a singleton epoch closing at
 // its own arrival is exactly one Activate call — driving every request
 // through ActivateEpoch that way must be byte-identical to the window-0
-// one-by-one path, for any shard count (here 4, so routing too).
+// one-by-one path, for any shard count (here 4, so routing too). Both
+// sides run the one activation path; TestShardedWindowZeroGolden pins
+// what that path decides.
 func TestBatchEpochWindowZeroMatchesOneByOne(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "16c2g", trace.VeryTight, 200, 1.0, 21)
 	newCfg := func() Config {

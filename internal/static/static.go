@@ -107,7 +107,7 @@ func (s *RM) Solve(p *sched.Problem) core.Decision {
 				Rem:      j.CPM(r, p.Policy),
 			}
 			trial := append(append(make([]sched.Entry, 0, len(entries[r])+1), entries[r]...), cand)
-			if sched.ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, trial) {
+			if sched.ResourceFeasible(p.Platform.Resource(r).Preemptable(), p.Time, trial, nil) {
 				place(idx, r)
 				placed = true
 				break

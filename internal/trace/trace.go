@@ -7,6 +7,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"predrm/internal/rng"
 	"predrm/internal/task"
@@ -21,6 +22,30 @@ type Request struct {
 	// Deadline is the relative deadline d_j; the absolute deadline is
 	// Arrival + Deadline.
 	Deadline float64 `json:"deadline"`
+}
+
+// ErrNonFiniteArrival and ErrNonFiniteDeadline reject a request whose
+// arrival or relative deadline is NaN or infinite: such a job would be
+// admitted against a deadline no completion can ever miss.
+var (
+	ErrNonFiniteArrival  = errors.New("non-finite arrival")
+	ErrNonFiniteDeadline = errors.New("non-finite deadline")
+)
+
+// Check validates one request: a finite arrival, a finite positive
+// relative deadline and, when ts is non-nil, a type of ts.
+func (r Request) Check(ts *task.Set) error {
+	switch {
+	case math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0):
+		return fmt.Errorf("%w %v", ErrNonFiniteArrival, r.Arrival)
+	case math.IsNaN(r.Deadline) || math.IsInf(r.Deadline, 0):
+		return fmt.Errorf("%w %v", ErrNonFiniteDeadline, r.Deadline)
+	case r.Deadline <= 0:
+		return fmt.Errorf("non-positive deadline %v", r.Deadline)
+	case ts != nil && (r.Type < 0 || r.Type >= ts.Len()):
+		return fmt.Errorf("unknown type %d", r.Type)
+	}
+	return nil
 }
 
 // Trace is an ordered stream of requests.
@@ -49,16 +74,13 @@ func (t *Trace) Validate(ts *task.Set) error {
 	}
 	prev := 0.0
 	for i, r := range t.Requests {
+		if err := r.Check(ts); err != nil {
+			return fmt.Errorf("trace: request %d: %w", i, err)
+		}
 		if r.Arrival < prev {
 			return fmt.Errorf("trace: request %d arrives at %v before previous %v", i, r.Arrival, prev)
 		}
 		prev = r.Arrival
-		if r.Deadline <= 0 {
-			return fmt.Errorf("trace: request %d has non-positive deadline %v", i, r.Deadline)
-		}
-		if ts != nil && (r.Type < 0 || r.Type >= ts.Len()) {
-			return fmt.Errorf("trace: request %d references unknown type %d", i, r.Type)
-		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -141,10 +142,29 @@ func TestValidateRejects(t *testing.T) {
 		{"unordered", Trace{Requests: []Request{{Arrival: 2, Type: 0, Deadline: 1}, {Arrival: 1, Type: 0, Deadline: 1}}}},
 		{"bad-deadline", Trace{Requests: []Request{{Arrival: 0, Type: 0, Deadline: 0}}}},
 		{"bad-type", Trace{Requests: []Request{{Arrival: 0, Type: 1000, Deadline: 1}}}},
+		{"nan-deadline", Trace{Requests: []Request{{Arrival: 0, Type: 0, Deadline: math.NaN()}}}},
+		{"inf-deadline", Trace{Requests: []Request{{Arrival: 0, Type: 0, Deadline: math.Inf(1)}}}},
+		{"nan-arrival", Trace{Requests: []Request{{Arrival: 1, Type: 0, Deadline: 1}, {Arrival: math.NaN(), Type: 0, Deadline: 1}}}},
+		{"inf-arrival", Trace{Requests: []Request{{Arrival: math.Inf(1), Type: 0, Deadline: 1}}}},
 	}
 	for _, c := range cases {
 		if err := c.tr.Validate(ts); err == nil {
 			t.Errorf("%s: Validate accepted invalid trace", c.name)
+		}
+	}
+	// Non-finite inputs are rejected with the named errors.
+	for _, c := range []struct {
+		req  Request
+		want error
+	}{
+		{Request{Arrival: math.NaN(), Deadline: 1}, ErrNonFiniteArrival},
+		{Request{Arrival: math.Inf(-1), Deadline: 1}, ErrNonFiniteArrival},
+		{Request{Deadline: math.NaN()}, ErrNonFiniteDeadline},
+		{Request{Deadline: math.Inf(1)}, ErrNonFiniteDeadline},
+	} {
+		tr := Trace{Requests: []Request{c.req}}
+		if err := tr.Validate(ts); !errors.Is(err, c.want) {
+			t.Errorf("%+v: Validate = %v, want %v", c.req, err, c.want)
 		}
 	}
 }
