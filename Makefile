@@ -1,15 +1,16 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build test vet fmtcheck race bench benchcheck tracecheck
+.PHONY: check build test vet fmtcheck race fuzz bench benchcheck tracecheck
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
 # end-to-end test, including the concurrent exact search, the sharded
 # epochs and the wall-clock server), audit the golden trace with the
-# replay checker, and gate the hot-path benchmarks against the committed
-# baseline (skip: BENCHCHECK=0).
-check: vet fmtcheck build race tracecheck benchcheck
+# replay checker, fuzz the heuristic against its seed implementation, and
+# gate the hot-path benchmarks against the committed baseline (skip:
+# BENCHCHECK=0).
+check: vet fmtcheck build race fuzz tracecheck benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
 # is the offending file list).
@@ -34,6 +35,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz explores random platforms of 1-80 resources (both candidate sources
+# of the heuristic) beyond the committed seed corpus, asserting Solve
+# matches the seed implementation with and without provenance and cache.
+fuzz:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
 
 # bench runs every benchmark and also writes a machine-readable summary
 # (ns/op, B/op, allocs/op per benchmark) for regression tracking.

@@ -60,7 +60,7 @@ type BudgetAware interface {
 
 // FallibleSolver is implemented by solvers that can fail outright —
 // injected faults (internal/faultinject), backend outages — instead of
-// merely returning an infeasible decision. AdmitChecked and BudgetedSolver
+// merely returning an infeasible decision. AdmitProv and BudgetedSolver
 // prefer SolveChecked when available; plain Solve must map failures to an
 // infeasible decision.
 type FallibleSolver interface {
@@ -284,18 +284,13 @@ func arrivingID(p *sched.Problem) int {
 	return id
 }
 
-// AdmitChecked is the Sec 4.1 admission protocol for solvers that can fail
-// (FallibleSolver): any Solve failure aborts the protocol and is returned
-// to the caller, with no decision taken. Wrap fallible solvers in a
-// BudgetedSolver to absorb failures into graceful degradation instead.
-// For plain solvers it behaves exactly like Admit.
-func AdmitChecked(s Solver, p *sched.Problem) (d Decision, admitted bool, err error) {
-	return AdmitProv(s, p, nil)
-}
-
-// AdmitProv is AdmitChecked with decision-provenance recording: each
-// protocol attempt (the Sec 4.1 drop-a-prediction loop) is opened on rec
-// before its solve and closed with the solve's outcome, so candidate
+// AdmitProv is the Sec 4.1 admission protocol for solvers that can fail
+// (FallibleSolver), with decision-provenance recording. Any Solve failure
+// aborts the protocol and is returned to the caller, with no decision
+// taken; wrap fallible solvers in a BudgetedSolver to absorb failures into
+// graceful degradation instead. For plain solvers it behaves exactly like
+// Admit. Each protocol attempt (the drop-a-prediction loop) is opened on
+// rec before its solve and closed with the solve's outcome, so candidate
 // verdicts and chain hops recorded by the solver are stamped with the
 // attempt that produced them. A nil rec records nothing.
 func AdmitProv(s Solver, p *sched.Problem, rec *telemetry.ProvRecorder) (d Decision, admitted bool, err error) {

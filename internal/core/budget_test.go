@@ -214,8 +214,10 @@ func TestBudgetedSolverEmptyChain(t *testing.T) {
 	}
 }
 
+// TestAdmitCheckedPropagatesError: the checked protocol (AdmitProv)
+// returns a FallibleSolver's error instead of deciding.
 func TestAdmitCheckedPropagatesError(t *testing.T) {
-	_, admitted, err := AdmitChecked(&errStub{}, testProblem())
+	_, admitted, err := AdmitProv(&errStub{}, testProblem(), nil)
 	if err == nil {
 		t.Fatal("error not propagated")
 	}

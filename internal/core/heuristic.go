@@ -50,11 +50,12 @@ type Solver interface {
 // Heuristic is the paper's Algorithm 1. The zero value is ready to use.
 //
 // A Heuristic keeps a reusable scratch arena (mapping, capacities,
-// per-resource entry lists, the cpm/desirability matrices and the
-// incremental feasible-set caches) that is reset — not reallocated — on
-// every Solve, so the decision hot path is allocation-free in steady state
-// apart from the returned Decision.Mapping. It is therefore not safe for
-// concurrent use: give each goroutine its own instance.
+// per-resource entry lists, the per-job candidate summaries and, on small
+// platforms, the cpm/desirability matrices) that is reset — not
+// reallocated — on every Solve, so the decision hot path is
+// allocation-free in steady state apart from the returned
+// Decision.Mapping. It is therefore not safe for concurrent use: give
+// each goroutine its own instance.
 type Heuristic struct {
 	// Greedy disables the max-regret task ordering and assigns jobs in
 	// index order instead (ablation A1). The per-resource capacity and
@@ -82,37 +83,31 @@ type Heuristic struct {
 	// one nil check).
 	prov *telemetry.ProvRecorder
 
-	// Per-solve state, valid between the top of Solve and its return.
+	// Per-solve state, valid between the top of Solve (or Repair) and its
+	// return.
 	p *sched.Problem
 	n int // p.Platform.Len()
 
-	// Scratch arena. cpm and des flatten the [job][resource] matrices as
-	// job*n+r; feas flattens the feasible-set membership the same way.
+	// Scratch arena. cpm and des flatten the matrix source's [job][resource]
+	// matrices as job*n+r; cand holds every job's regret inputs.
 	mapping    []int
 	capacity   []float64
 	lists      []sched.EntryList
 	edf        sched.EDFScratch
 	cpm        []float64
 	des        []float64
-	feas       []bool
-	feasCount  []int
-	best       []float64 // best desirability over the current feasible set
-	second     []float64 // second-best desirability (+Inf when |F_j| == 1)
+	cand       []candSummary
 	unassigned []int
-	pickSet    []int
 
 	// delta is the Repair scratch; hitsDelta/missDelta batch the cache
 	// probe statistics per solve (flushed into Cache and the instruments).
 	delta                sched.MappingDelta
 	hitsDelta, missDelta int64
 
-	// Indexed candidate-scan state (indexed.go): the per-type candidate
-	// orders, the per-job best/second summaries and the shared candidate
-	// iterator. noIndex pins the plain path for differential tests.
-	ord     map[*task.Type][]int32
-	cand    []candSummary
-	it      candIter
-	noIndex bool
+	// Index source state (indexed.go): the per-type candidate orders and
+	// the shared candidate iterator.
+	ord map[*task.Type][]int32
+	it  candIter
 }
 
 var _ Solver = (*Heuristic)(nil)
@@ -156,237 +151,253 @@ func (h *Heuristic) flushCacheStats() {
 // max-regret placement.
 func (h *Heuristic) AttachProvenance(rec *telemetry.ProvRecorder) { h.prov = rec }
 
-// growCommon sizes the arena pieces shared by the plain and indexed
-// paths: job-indexed scratch, per-resource capacities and entry lists.
-func (h *Heuristic) growCommon(m, n int) {
+// indexed reports the current solve's candidate source: the per-type
+// index (indexed.go) on platforms of indexedMinResources or more, the
+// m×n matrices below.
+func (h *Heuristic) indexed() bool { return h.n >= indexedMinResources }
+
+// reset points the arena at p, growing it if needed, and restores every
+// resource's full window capacity K̄ and empty entry list (kept in
+// FeasibleSorted service order for the schedulability probes).
+func (h *Heuristic) reset(p *sched.Problem) {
+	m, n := len(p.Jobs), p.Platform.Len()
+	h.p, h.n = p, n
 	if cap(h.mapping) < m {
 		h.mapping = make([]int, m)
-		h.feasCount = make([]int, m)
-		h.best = make([]float64, m)
-		h.second = make([]float64, m)
+		h.cand = make([]candSummary, m)
 		h.unassigned = make([]int, 0, m)
 	}
 	if cap(h.capacity) < n {
 		h.capacity = make([]float64, n)
-		h.pickSet = make([]int, 0, n)
 	}
 	if len(h.lists) < n {
 		h.lists = append(h.lists, make([]sched.EntryList, n-len(h.lists))...)
 	}
-}
-
-// grow sizes the arena for m jobs on n resources, reusing prior capacity.
-// The m×n matrices are the plain path's; the indexed path (indexed.go)
-// deliberately never materialises them.
-func (h *Heuristic) grow(m, n int) {
-	h.growCommon(m, n)
-	if cap(h.cpm) < m*n {
+	if !h.indexed() && cap(h.cpm) < m*n {
 		h.cpm = make([]float64, m*n)
 		h.des = make([]float64, m*n)
-		h.feas = make([]bool, m*n)
+	}
+	window := p.Window()
+	for r := 0; r < n; r++ {
+		h.capacity[r] = window
+		h.lists[r].Reset()
+		if h.Cache != nil {
+			h.lists[r].EnableFingerprint(p.Time)
+		}
 	}
 }
 
-// Solve runs Algorithm 1 on p. On large platforms the candidate scan
-// runs through the per-type resource index (indexed.go) instead of the
-// materialised m×n matrices; the decision is identical either way.
+// Solve runs Algorithm 1 on p: the pinned jobs are pre-assigned, then
+// place maps the free ones. The candidate source follows the platform
+// size; the decision and any recorded provenance are identical on both.
 func (h *Heuristic) Solve(p *sched.Problem) Decision {
 	h.solves.Inc()
 	h.problemJobs.Observe(float64(len(p.Jobs)))
 	h.Cache.Advance()
-	if p.Platform.Len() >= indexedMinResources && !h.prov.Enabled() && !h.noIndex {
-		return h.solveIndexed(p)
-	}
-	jobs := p.Jobs
-	m, n := len(jobs), p.Platform.Len()
-	h.p, h.n = p, n
-	h.grow(m, n)
-
-	mapping := h.mapping[:m]
-	for i := range mapping {
-		mapping[i] = sched.Unmapped
-	}
-
-	// Per-resource remaining capacity K̄_i and the entries mapped so far
-	// (for the schedulability probes), kept in FeasibleSorted service order.
-	window := p.Window()
-	capacity := h.capacity[:n]
-	for i := range capacity {
-		capacity[i] = window
-		h.lists[i].Reset()
-		if h.Cache != nil {
-			h.lists[i].EnableFingerprint(p.Time)
-		}
-	}
-
-	// Desirability f_{j,i} = ep + em + M·(cpm > t_left); +Inf when the
-	// type cannot run on i (line 6 of Algorithm 1). cpm, epm and t_left
-	// are invariant over one solve, so the matrix is evaluated once and
-	// serves both the max-regret loop and the placement loop.
-	cpm := h.cpm[:m*n]
-	des := h.des[:m*n]
-	for ji, j := range jobs {
-		tl := j.TimeLeft(p.Time)
-		base := ji * n
-		for r := 0; r < n; r++ {
-			c := j.CPM(r, p.Policy)
-			cpm[base+r] = c
-			if c == task.NotExecutable {
-				des[base+r] = math.Inf(1)
-				continue
-			}
-			e := j.EPM(r, p.Policy)
-			if c > tl+sched.Eps {
-				e += bigM
-			}
-			des[base+r] = e
-		}
-	}
+	h.reset(p)
+	mapping := h.mapping[:len(p.Jobs)]
 
 	// Pinned jobs are not free decisions: pre-assign them so the heuristic
 	// plans around the work it cannot move.
 	unassigned := h.unassigned[:0]
-	for idx, j := range jobs {
+	for idx, j := range p.Jobs {
+		mapping[idx] = sched.Unmapped
 		if j.Fixed || j.Pinned(p.Platform) {
-			h.assign(idx, j.Resource)
+			h.assign(idx, j.Resource, j.CPM(j.Resource, p.Policy))
 			continue
 		}
 		unassigned = append(unassigned, idx)
 	}
-	h.unassigned = unassigned
 
-	// Seed F_j, best/second desirability and thereby the regrets. From
-	// here the caches are maintained incrementally: an assignment changes
-	// only one resource's capacity, so only that column can evict members.
-	for _, ji := range unassigned {
-		h.refresh(ji)
+	if failJob := h.place(unassigned, h.Greedy, h.prov.Enabled()); failJob >= 0 {
+		return h.fail(failJob)
 	}
-
-	for len(unassigned) > 0 {
-		// Select the next job: max regret d* (lines 8-20), or first in
-		// index order for the greedy ablation.
-		pick := -1
-		if h.Greedy {
-			pick = 0
-			if h.feasCount[unassigned[0]] == 0 {
-				return h.fail(mapping, unassigned[0])
-			}
-		} else {
-			dStar := math.Inf(-1)
-			for u, ji := range unassigned {
-				if h.feasCount[ji] == 0 {
-					// Line 22: no solution.
-					return h.fail(mapping, ji)
-				}
-				d := h.second[ji] - h.best[ji] // +Inf when |F_j| == 1 (line 14)
-				if d > dStar {
-					dStar = d
-					pick = u
-				}
-			}
-		}
-
-		jobIdx := unassigned[pick]
-		unassigned = append(unassigned[:pick], unassigned[pick+1:]...)
-
-		// Map j* to the most desirable schedulable resource (lines 24-34).
-		base := jobIdx * n
-		ps := h.pickSet[:0]
-		for r := 0; r < n; r++ {
-			if h.feas[base+r] {
-				ps = append(ps, r)
-			}
-		}
-		recording := h.prov.Enabled()
-		placed := false
-		for len(ps) > 0 {
-			bi, bf := -1, math.Inf(1)
-			for k, r := range ps {
-				if f := des[base+r]; f < bf {
-					bf, bi = f, k
-				}
-			}
-			r := ps[bi]
-			// Trial-insert the candidate at its service position; on
-			// success the entry is already final, on failure it is backed
-			// out and the next resource tried.
-			pos := h.insertEntry(jobIdx, r)
-			preempt := p.Platform.Resource(r).Preemptable()
-			// Recording explains the probe: same verdict, plus the
-			// tightest slack and the deadline that broke.
-			var fv sched.FeasVerdict
-			var sink *sched.FeasVerdict
-			if recording {
-				sink = &fv
-			}
-			ok := h.lists[r].Feasible(preempt, p.Time, &h.edf, h.Cache, &h.hitsDelta, &h.missDelta, sink)
-			if recording {
-				cv := telemetry.CandidateVerdict{
-					Job: jobs[jobIdx].ID, Res: r, Des: bf,
-					Slack: fv.Slack, Preempt: preempt, EDFPath: fv.EDFPath,
-				}
-				if ok {
-					cv.Verdict = telemetry.VerdictChosen
-				} else {
-					cv.Verdict = telemetry.VerdictEDFInfeasible
-					cv.Deadline = fv.BreachDeadline
-				}
-				h.prov.Candidate(cv)
-			}
-			if ok {
-				mapping[jobIdx] = r
-				capacity[r] -= cpm[base+r]
-				h.invalidateColumn(r, unassigned)
-				if recording {
-					regret := h.second[jobIdx] - h.best[jobIdx]
-					h.prov.Pick(jobs[jobIdx].ID, regret, r)
-					for _, nr := range ps {
-						if nr == r {
-							continue
-						}
-						h.prov.Candidate(telemetry.CandidateVerdict{
-							Job: jobs[jobIdx].ID, Res: nr,
-							Verdict: telemetry.VerdictNotTried, Des: des[base+nr],
-						})
-					}
-				}
-				placed = true
-				break
-			}
-			h.lists[r].Remove(p.Time, pos)
-			ps = append(ps[:bi], ps[bi+1:]...)
-		}
-		if !placed {
-			// Lines 31-32: no more resources.
-			return h.fail(mapping, jobIdx)
-		}
-	}
-
 	h.flushCacheStats()
 	out := append([]int(nil), mapping...)
 	return Decision{Mapping: out, Feasible: true, Energy: p.Energy(out)}
 }
 
-// assign books job jobIdx onto resource r: mapping, capacity, entry list.
-// Used for the pinned pre-assignments; free jobs are booked inline by the
-// placement loop, whose trial insert already placed the entry.
-func (h *Heuristic) assign(jobIdx, r int) {
-	h.mapping[jobIdx] = r
-	h.capacity[r] -= h.cpm[jobIdx*h.n+r]
-	h.insertEntry(jobIdx, r)
+// place runs Algorithm 1's lines 8-34 over the free jobs in unassigned,
+// on top of whatever the caller has already booked: select the max-regret
+// job (the first one for greedy), trial-insert it on its candidates in
+// ascending (desirability, resource) order until an EDF probe passes, and
+// book it. It returns the job that could not be placed, or -1. recording
+// emits the candidate verdicts and pick steps.
+//
+// Only the candidate source differs between platform sizes — how a job's
+// candidate summary is computed (summarise), how its candidates are
+// walked (nextCand) and where a cpm is read; the loop is the same.
+func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
+	p, n, indexed := h.p, h.n, h.indexed()
+	for _, ji := range unassigned {
+		if !indexed {
+			h.fillRow(ji)
+		}
+		h.summarise(ji)
+	}
+
+	for len(unassigned) > 0 {
+		// Select the next job: max regret d* (lines 8-20), or first in
+		// index order for the greedy ablation. An empty feasible set is
+		// line 22: no solution.
+		pick := 0
+		if greedy {
+			if h.cand[unassigned[0]].empty {
+				return unassigned[0]
+			}
+		} else {
+			dStar := math.Inf(-1)
+			for u, ji := range unassigned {
+				cc := &h.cand[ji]
+				if cc.empty {
+					return ji
+				}
+				// +Inf when |F_j| == 1 (line 14).
+				if d := cc.secondDes - cc.bestDes; d > dStar {
+					dStar, pick = d, u
+				}
+			}
+		}
+		ji := unassigned[pick]
+		unassigned = append(unassigned[:pick], unassigned[pick+1:]...)
+
+		// Map j* to the most desirable schedulable resource (lines 24-34).
+		// Each candidate is trial-inserted at its service position; on
+		// success the entry is already final, on failure it is backed out
+		// and the next candidate tried.
+		r, des, c, ok := h.nextCand(ji, -1, math.Inf(-1))
+		for ; ok; r, des, c, ok = h.nextCand(ji, r, des) {
+			pos := h.insertEntry(ji, r, c)
+			if h.check(ji, r, des, recording) {
+				break
+			}
+			h.lists[r].Remove(p.Time, pos)
+		}
+		if !ok {
+			return ji // lines 31-32: no more resources
+		}
+		if recording {
+			h.recordPlaced(ji, r, des)
+		}
+
+		// Book j* on r. The booking shrank only r's capacity, so a job's
+		// summary can change only if it just lost r from its feasible set
+		// and r was its best or second candidate.
+		h.mapping[ji] = r
+		oldCap := h.capacity[r]
+		h.capacity[r] -= c
+		newCap := h.capacity[r]
+		for _, uj := range unassigned {
+			var cu float64
+			if indexed {
+				cu = p.Jobs[uj].CPM(r, p.Policy)
+			} else {
+				cu = h.cpm[uj*n+r]
+			}
+			if cu > oldCap+sched.Eps || cu <= newCap+sched.Eps {
+				continue // was not a member, or still is
+			}
+			if cc := &h.cand[uj]; cc.bestR == int32(r) || cc.secondR == int32(r) {
+				h.summarise(uj)
+			}
+		}
+	}
+	return -1
 }
 
-// insertEntry places job jobIdx's feasibility entry for resource r into
-// the resource's sorted list and returns its position.
-func (h *Heuristic) insertEntry(jobIdx, r int) int {
-	return h.insertEntryC(jobIdx, r, h.cpm[jobIdx*h.n+r])
+// desire returns job ji's cpm on resource r and its desirability
+// f_{j,i} = ep + em + M·(cpm > t_left); +Inf when the type cannot run on r
+// (line 6 of Algorithm 1).
+func (h *Heuristic) desire(ji, r int) (c, f float64) {
+	j := h.p.Jobs[ji]
+	c = j.CPM(r, h.p.Policy)
+	if c == task.NotExecutable {
+		return c, math.Inf(1)
+	}
+	f = j.EPM(r, h.p.Policy)
+	if c > j.TimeLeft(h.p.Time)+sched.Eps {
+		f += bigM
+	}
+	return c, f
 }
 
-// insertEntryC is insertEntry with the cpm value supplied by the caller
-// — the indexed path computes cpm on demand instead of reading the
-// matrix.
-func (h *Heuristic) insertEntryC(jobIdx, r int, c float64) int {
-	j := h.p.Jobs[jobIdx]
+// fillRow evaluates job ji's row of the cpm/desirability matrices. cpm,
+// epm and t_left are invariant over one solve, so each row is evaluated
+// once and serves every summary and candidate walk of the job.
+func (h *Heuristic) fillRow(ji int) {
+	base := ji * h.n
+	for r := 0; r < h.n; r++ {
+		h.cpm[base+r], h.des[base+r] = h.desire(ji, r)
+	}
+}
+
+// summarise recomputes job ji's candidate summary from the current
+// capacities: the first two members of its feasible set F_j (line 10) in
+// ascending (desirability, resource) order. On the matrix source that is
+// one row scan in ascending resource id with strict <; on the index it is
+// rewalk.
+func (h *Heuristic) summarise(ji int) {
+	if h.indexed() {
+		h.rewalk(ji)
+		return
+	}
+	base := ji * h.n
+	cc := candSummary{bestR: -1, secondR: -1, bestDes: math.Inf(1), secondDes: math.Inf(1)}
+	for r := 0; r < h.n; r++ {
+		if h.cpm[base+r] > h.capacity[r]+sched.Eps {
+			continue // not executable, or no capacity left
+		}
+		if f := h.des[base+r]; f < cc.bestDes {
+			cc.secondR, cc.secondDes = cc.bestR, cc.bestDes
+			cc.bestR, cc.bestDes = int32(r), f
+		} else if f < cc.secondDes {
+			cc.secondR, cc.secondDes = int32(r), f
+		}
+	}
+	cc.empty = cc.bestR < 0
+	h.cand[ji] = cc
+}
+
+// nextCand yields job ji's next feasible-set member after (r, des) in
+// ascending (desirability, resource) order: resource, desirability, cpm;
+// ok is false when the set is exhausted. r < 0 starts the walk. On the
+// matrix source it is an arg-min over the row; on the index it steps the
+// shared iterator, which keeps its own position.
+func (h *Heuristic) nextCand(ji, r int, des float64) (int, float64, float64, bool) {
+	if h.indexed() {
+		if r < 0 {
+			h.itInit(ji)
+		}
+		return h.itNext()
+	}
+	base := ji * h.n
+	br, bf := -1, math.Inf(1)
+	for q := 0; q < h.n; q++ {
+		f := h.des[base+q]
+		if h.cpm[base+q] > h.capacity[q]+sched.Eps || f < des || (f == des && q <= r) || f >= bf {
+			continue
+		}
+		br, bf = q, f
+	}
+	if br < 0 {
+		return 0, 0, 0, false
+	}
+	return br, bf, h.cpm[base+br], true
+}
+
+// assign books job ji onto resource r at cpm c: mapping, capacity, entry
+// list. Used for the pre-assigned jobs; place books free jobs itself,
+// since its trial insert already placed the entry.
+func (h *Heuristic) assign(ji, r int, c float64) {
+	h.mapping[ji] = r
+	h.capacity[r] -= c
+	h.insertEntry(ji, r, c)
+}
+
+// insertEntry places job ji's feasibility entry for resource r, with cpm
+// c, into the resource's sorted list and returns its position.
+func (h *Heuristic) insertEntry(ji, r int, c float64) int {
+	j := h.p.Jobs[ji]
 	return h.lists[r].Insert(h.p.Time, sched.Entry{
 		ReadyAt:     math.Max(j.Arrival, h.p.Time),
 		Deadline:    j.AbsDeadline,
@@ -395,41 +406,48 @@ func (h *Heuristic) insertEntryC(jobIdx, r int, c float64) int {
 	})
 }
 
-// refresh recomputes job ji's feasible set F_j — resources whose remaining
-// capacity fits the job (line 10) — and its cached best/second
-// desirabilities from the current capacities.
-func (h *Heuristic) refresh(ji int) {
-	base := ji * h.n
-	cnt := 0
-	b, s := math.Inf(1), math.Inf(1)
-	for r := 0; r < h.n; r++ {
-		c := h.cpm[base+r]
-		ok := c != task.NotExecutable && c <= h.capacity[r]+sched.Eps
-		h.feas[base+r] = ok
-		if !ok {
-			continue
-		}
-		cnt++
-		if f := h.des[base+r]; f < b {
-			b, s = f, b
-		} else if f < s {
-			s = f
-		}
-	}
-	h.feasCount[ji] = cnt
-	h.best[ji] = b
-	h.second[ji] = s
+// probe checks resource r's current entry list, through the cache when
+// one is attached. A non-nil fv receives the explained verdict.
+func (h *Heuristic) probe(r int, fv *sched.FeasVerdict) bool {
+	return h.lists[r].Feasible(h.p.Platform.Resource(r).Preemptable(), h.p.Time,
+		&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, fv)
 }
 
-// invalidateColumn re-evaluates resource r's membership for every job in
-// unassigned after r's capacity shrank. Capacities only ever decrease, so
-// membership can only be lost; jobs whose F_j kept r are untouched and
-// their cached regrets stay valid.
-func (h *Heuristic) invalidateColumn(r int, unassigned []int) {
-	for _, ji := range unassigned {
-		if h.feas[ji*h.n+r] && h.cpm[ji*h.n+r] > h.capacity[r]+sched.Eps {
-			h.refresh(ji)
+// check runs the EDF probe for job ji's trial entry on r. Recording
+// explains the probe — the same verdict, plus the tightest slack and the
+// deadline that broke — and records it as chosen or edf_infeasible.
+func (h *Heuristic) check(ji, r int, des float64, recording bool) bool {
+	if !recording {
+		return h.probe(r, nil)
+	}
+	var fv sched.FeasVerdict
+	ok := h.probe(r, &fv)
+	cv := telemetry.CandidateVerdict{
+		Job: h.p.Jobs[ji].ID, Res: r, Des: des, Verdict: telemetry.VerdictChosen,
+		Slack: fv.Slack, Preempt: h.p.Platform.Resource(r).Preemptable(), EDFPath: fv.EDFPath,
+	}
+	if !ok {
+		cv.Verdict, cv.Deadline = telemetry.VerdictEDFInfeasible, fv.BreachDeadline
+	}
+	h.prov.Candidate(cv)
+	return ok
+}
+
+// recordPlaced records job ji's pick step onto r, before r is booked, and
+// a not_tried verdict for every feasible-set member that sorts after the
+// chosen (des, r), in ascending resource id.
+func (h *Heuristic) recordPlaced(ji, r int, des float64) {
+	cc := &h.cand[ji]
+	id := h.p.Jobs[ji].ID
+	h.prov.Pick(id, cc.secondDes-cc.bestDes, r)
+	for q := 0; q < h.n; q++ {
+		c, f := h.desire(ji, q)
+		if c > h.capacity[q]+sched.Eps || f < des || (f == des && q <= r) {
+			continue
 		}
+		h.prov.Candidate(telemetry.CandidateVerdict{
+			Job: id, Res: q, Verdict: telemetry.VerdictNotTried, Des: f,
+		})
 	}
 }
 
@@ -437,32 +455,29 @@ func (h *Heuristic) invalidateColumn(r int, unassigned []int) {
 // failJob is the job that killed the solve; under provenance its remaining
 // candidate verdicts are recorded so every rejection explains the full
 // resource picture for the job that could not be placed.
-func (h *Heuristic) fail(mapping []int, failJob int) Decision {
+func (h *Heuristic) fail(failJob int) Decision {
 	h.infeasible.Inc()
 	h.flushCacheStats()
 	if h.prov.Enabled() {
 		h.recordExcluded(failJob)
 	}
-	return Decision{Mapping: append([]int(nil), mapping...), Feasible: false}
+	return Decision{Mapping: append([]int(nil), h.mapping[:len(h.p.Jobs)]...), Feasible: false}
 }
 
 // recordExcluded records why each resource outside job ji's feasible set
 // was never probed: the type cannot run there, or the remaining window
-// capacity no longer fits. Resources still in the set were (or are about to
-// be counted as) probed by the placement loop and are skipped here.
+// capacity no longer fits. Resources still in the set were probed by the
+// placement loop and are skipped here.
 func (h *Heuristic) recordExcluded(ji int) {
-	base := ji * h.n
-	jobID := h.p.Jobs[ji].ID
+	id := h.p.Jobs[ji].ID
 	for r := 0; r < h.n; r++ {
-		if h.feas[base+r] {
+		c, f := h.desire(ji, r)
+		cv := telemetry.CandidateVerdict{Job: id, Res: r, Verdict: telemetry.VerdictNoCapacity, Des: f}
+		switch {
+		case c == task.NotExecutable:
+			cv.Verdict, cv.Des = telemetry.VerdictNotExecutable, 0
+		case c <= h.capacity[r]+sched.Eps:
 			continue
-		}
-		cv := telemetry.CandidateVerdict{Job: jobID, Res: r}
-		if h.cpm[base+r] == task.NotExecutable {
-			cv.Verdict = telemetry.VerdictNotExecutable
-		} else {
-			cv.Verdict = telemetry.VerdictNoCapacity
-			cv.Des = h.des[base+r]
 		}
 		h.prov.Candidate(cv)
 	}
@@ -478,9 +493,9 @@ func (h *Heuristic) recordExcluded(ji int) {
 // this reduces exactly to Sec 4.1's with/without fallback.
 //
 // A FallibleSolver failure is mapped to a rejection; callers that need
-// the cause (the simulator) use AdmitChecked instead.
+// the cause (the engine) use AdmitProv instead.
 func Admit(s Solver, p *sched.Problem) (d Decision, admitted bool) {
-	d, admitted, err := AdmitChecked(s, p)
+	d, admitted, err := AdmitProv(s, p, nil)
 	if err != nil {
 		return rejectAll(p), false
 	}

@@ -1,41 +1,40 @@
-// Indexed candidate scan: Algorithm 1 without the m×n matrices.
+// Index candidate source: Algorithm 1's candidate queries without the m×n
+// matrices.
 //
-// The plain Solve materialises cpm/desirability for every (job,
+// The matrix source materialises cpm/desirability for every (job,
 // resource) pair — O(jobs × resources) per activation, fine for the
 // paper's 6-resource platform but quadratic waste on a 512-resource one
 // where each job only ever touches its one or two most desirable
-// candidates. This file keeps the algorithm bit-identical while making
-// the scan sublinear in platform size:
+// candidates. The index answers the same queries sublinearly in platform
+// size:
 //
 //   - per task type, a candidate index: the executable resources sorted
 //     by (energy, id). Desirability is a positive scaling of energy plus
 //     a per-job constant (migration surcharge) and the bigM deadline
 //     penalty, so walking the index yields candidates in exactly the
-//     (desirability, resource) order the plain path's arg-min scans
+//     (desirability, resource) order the matrix source's arg-min scans
 //     produce — the kind-bucketed resource index of the scale-out
 //     design (DESIGN.md §12).
-//   - per job, only the best/second candidate summary is cached (the
-//     regret inputs), recomputed only when a booking evicts the job's
-//     best or second resource — the same incremental discipline as the
-//     plain path's invalidateColumn, minus the matrix.
+//   - the per-job candSummary is rewalked, not rescanned: the first two
+//     candidates of the merged order.
 //
-// Equivalence argument. The plain path consumes the matrices through
-// exactly two queries: "the two smallest desirabilities over the
+// Equivalence argument. place (heuristic.go) consumes a candidate source
+// through exactly two queries: "the two smallest desirabilities over the
 // feasible set, scanning resources in ascending id with strict <" (the
-// regret inputs) and "feasible-set members in ascending (desirability,
-// id) order" (the placement loop). Both are order queries over the same
-// multiset of (des, r) pairs, so producing candidates in ascending
-// (des, r) order reproduces them verbatim. Within one solve a job's
-// desirability is energy[r]·Frac + constant (+bigM), monotone in
+// regret inputs, summarise) and "feasible-set members in ascending (des,
+// id) order" (the placement walk, nextCand). Both are order queries over
+// the same multiset of (des, r) pairs, so producing candidates in
+// ascending (des, r) order reproduces them verbatim. Within one solve a
+// job's desirability is energy[r]·Frac + constant (+bigM), monotone in
 // energy[r] over each of the three candidate streams — non-penalised,
 // penalised (+bigM), and the job's current resource (no migration
 // surcharge) — so each stream is already sorted by the index order and
 // a 3-way merge yields the global order. Equal desirabilities across
 // different energies (a rounding collision) are handled by buffering
 // each equal-desirability run and emitting it in ascending resource id,
-// which is the plain scan's tie-break. TestIndexedHeuristicMatchesPlain
-// pins the equivalence over randomized problems; the race-enabled suite
-// runs it on every `make check`.
+// which is the matrix scan's tie-break. TestIndexedHeuristicMatchesPlain
+// and FuzzHeuristicMatchesReference pin both sources against the seed
+// implementation; the race-enabled suite runs them on every `make check`.
 package core
 
 import (
@@ -46,14 +45,15 @@ import (
 	"predrm/internal/task"
 )
 
-// indexedMinResources gates the indexed path: below it the matrices are
-// small enough that the plain path's tight loops win (and the committed
-// golden traces and benchmarks of the 6-resource platform stay on the
-// code path they were recorded against).
+// indexedMinResources picks the candidate source: below it the matrices
+// are small enough that their tight loops win (forcing the index at 5c1g
+// measured ~48% slower heuristic solves), at and above it the index does.
 const indexedMinResources = 32
 
-// candSummary caches one job's regret inputs: the best and second-best
-// (desirability, resource) over its current feasible set.
+// candSummary caches one job's regret inputs on either candidate source:
+// the best and second-best (desirability, resource) over its current
+// feasible set. place re-summarises a job only when a booking evicts its
+// best or second resource; no other eviction can change the pair.
 type candSummary struct {
 	bestR, secondR     int32 // -1 when absent
 	bestDes, secondDes float64
@@ -69,7 +69,7 @@ type runCand struct {
 // candStream walks one desirability-sorted slice of a job's candidates:
 // the non-penalised members (pen false) or the bigM-penalised ones (pen
 // true). Equal-desirability runs are buffered and sorted by resource id
-// so ties break exactly as the plain path's ascending-id scans do.
+// so ties break exactly as the matrix source's ascending-id scans do.
 type candStream struct {
 	pen bool
 	i   int       // cursor into the type's candidate order
@@ -119,15 +119,6 @@ func (h *Heuristic) typeOrder(t *task.Type) []int32 {
 	})
 	h.ord[t] = o
 	return o
-}
-
-// growIndexed sizes the indexed path's arena: the common pieces plus
-// the per-job candidate summaries. No m×n allocation happens here.
-func (h *Heuristic) growIndexed(m, n int) {
-	h.growCommon(m, n)
-	if cap(h.cand) < m {
-		h.cand = make([]candSummary, m)
-	}
 }
 
 // itInit points the shared iterator at job ji's candidates. Streams are
@@ -260,9 +251,8 @@ func (h *Heuristic) itNext() (int, float64, float64, bool) {
 	return int(r), des, c, true
 }
 
-// rewalk recomputes job ji's candidate summary — the first two
-// candidates of the merged order, i.e. exactly the plain refresh's
-// best/second over the feasible set.
+// rewalk is summarise on the index: job ji's candidate summary is the
+// first two candidates of the merged order.
 func (h *Heuristic) rewalk(ji int) {
 	h.itInit(ji)
 	cc := &h.cand[ji]
@@ -279,119 +269,4 @@ func (h *Heuristic) rewalk(ji int) {
 	} else {
 		cc.secondR, cc.secondDes = -1, math.Inf(1) // |F_j| == 1 (line 14)
 	}
-}
-
-// solveIndexed is Solve on the candidate index: the same pre-assignment,
-// max-regret selection, placement probing and booking as the plain path,
-// with every matrix read replaced by an index walk. Provenance recording
-// stays on the plain path (Solve gates on it), so no verdict bookkeeping
-// appears here.
-func (h *Heuristic) solveIndexed(p *sched.Problem) Decision {
-	jobs := p.Jobs
-	m, n := len(jobs), p.Platform.Len()
-	h.p, h.n = p, n
-	h.growIndexed(m, n)
-
-	mapping := h.mapping[:m]
-	for i := range mapping {
-		mapping[i] = sched.Unmapped
-	}
-
-	window := p.Window()
-	capacity := h.capacity[:n]
-	for i := range capacity {
-		capacity[i] = window
-		h.lists[i].Reset()
-		if h.Cache != nil {
-			h.lists[i].EnableFingerprint(p.Time)
-		}
-	}
-
-	// Pinned pre-assignment, identical to the plain path but with cpm
-	// computed at the point of use.
-	unassigned := h.unassigned[:0]
-	for idx, j := range jobs {
-		if j.Fixed || j.Pinned(p.Platform) {
-			c := j.CPM(j.Resource, p.Policy)
-			mapping[idx] = j.Resource
-			capacity[j.Resource] -= c
-			h.insertEntryC(idx, j.Resource, c)
-			continue
-		}
-		unassigned = append(unassigned, idx)
-	}
-	h.unassigned = unassigned
-
-	for _, ji := range unassigned {
-		h.rewalk(ji)
-	}
-
-	for len(unassigned) > 0 {
-		pick := -1
-		if h.Greedy {
-			pick = 0
-			if h.cand[unassigned[0]].empty {
-				return h.fail(mapping, unassigned[0])
-			}
-		} else {
-			dStar := math.Inf(-1)
-			for u, ji := range unassigned {
-				cc := &h.cand[ji]
-				if cc.empty {
-					return h.fail(mapping, ji)
-				}
-				if d := cc.secondDes - cc.bestDes; d > dStar {
-					dStar = d
-					pick = u
-				}
-			}
-		}
-		jobIdx := unassigned[pick]
-		unassigned = append(unassigned[:pick], unassigned[pick+1:]...)
-
-		// Placement: walk the candidates in (desirability, id) order with
-		// the same trial-insert EDF probes as the plain loop.
-		placed := false
-		var placedR int
-		var placedCpm float64
-		h.itInit(jobIdx)
-		for {
-			r, _, c, ok := h.itNext()
-			if !ok {
-				break
-			}
-			pos := h.insertEntryC(jobIdx, r, c)
-			if h.lists[r].Feasible(p.Platform.Resource(r).Preemptable(), p.Time,
-				&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, nil) {
-				mapping[jobIdx] = r
-				placed, placedR, placedCpm = true, r, c
-				break
-			}
-			h.lists[r].Remove(p.Time, pos)
-		}
-		if !placed {
-			return h.fail(mapping, jobIdx)
-		}
-
-		// Booking shrank one resource. A job's cached summary changes only
-		// if it just lost membership of that resource AND the resource was
-		// its best or second (otherwise the plain refresh would recompute
-		// identical values) — the matrix-free invalidateColumn.
-		oldCap := capacity[placedR]
-		capacity[placedR] -= placedCpm
-		newCap := capacity[placedR]
-		for _, ji := range unassigned {
-			cji := jobs[ji].CPM(placedR, p.Policy)
-			if cji == task.NotExecutable || cji > oldCap+sched.Eps || cji <= newCap+sched.Eps {
-				continue // was not a member, or still is
-			}
-			if cc := &h.cand[ji]; cc.bestR == int32(placedR) || cc.secondR == int32(placedR) {
-				h.rewalk(ji)
-			}
-		}
-	}
-
-	h.flushCacheStats()
-	out := append([]int(nil), mapping...)
-	return Decision{Mapping: out, Feasible: true, Energy: p.Energy(out)}
 }

@@ -13,8 +13,6 @@
 package core
 
 import (
-	"math"
-
 	"predrm/internal/sched"
 	"predrm/internal/task"
 )
@@ -35,9 +33,10 @@ func repairMaxDelta(jobs int) int {
 // Repair extends the previous activation's mapping (recorded in ws) to
 // problem p: surviving jobs keep their resources, pinned and fixed jobs
 // go where they must, and only the added jobs — the arriving request and
-// fresh predictions — are placed, in max-regret order with the same
-// trial-insert EDF probes as Solve. Every touched resource is re-verified,
-// so an ok result is a feasible mapping of p with energy p.Energy(mapping).
+// fresh predictions — are placed, by the same max-regret placement loop
+// as Solve (place, on the same candidate source), restricted to the
+// delta. Every touched resource is re-verified, so an ok result is a
+// feasible mapping of p with energy p.Energy(mapping).
 //
 // Repair reports ok=false — and the caller must fall back to a full
 // Solve — when ws records nothing, the delta exceeds repairMaxDelta (the
@@ -55,32 +54,19 @@ func (h *Heuristic) Repair(p *sched.Problem, ws *sched.WarmState) (mapping []int
 		return nil, 0, false
 	}
 	d := &h.delta
-	jobs := p.Jobs
-	m, n := len(jobs), p.Platform.Len()
-	if d.Added+d.Removed > repairMaxDelta(m) {
+	if d.Added+d.Removed > repairMaxDelta(len(p.Jobs)) {
 		h.repairFail.Inc()
 		return nil, 0, false
 	}
-	h.p, h.n = p, n
-	h.grow(m, n)
 	h.Cache.Advance()
-
-	mapping = h.mapping[:m]
-	window := p.Window()
-	capacity := h.capacity[:n]
-	for i := range capacity {
-		capacity[i] = window
-		h.lists[i].Reset()
-		if h.Cache != nil {
-			h.lists[i].EnableFingerprint(p.Time)
-		}
-	}
+	h.reset(p)
 
 	// Retain: re-book every surviving job on its previous resource (pinned
-	// and fixed jobs on their mandatory one). Only the cpm cells actually
-	// read are computed — this loop is the O(kept) part of repair.
+	// and fixed jobs on their mandatory one). Only the retained resource's
+	// cpm is computed — this loop is the O(kept) part of repair.
+	mapping = h.mapping[:len(p.Jobs)]
 	added := h.unassigned[:0]
-	for i, j := range jobs {
+	for i, j := range p.Jobs {
 		r := d.PrevRes[i]
 		if j.Fixed || j.Pinned(p.Platform) {
 			r = j.Resource
@@ -94,115 +80,25 @@ func (h *Heuristic) Repair(p *sched.Problem, ws *sched.WarmState) (mapping []int
 		if c == task.NotExecutable || c > j.TimeLeft(p.Time)+sched.Eps {
 			return h.repairFailed()
 		}
-		h.cpm[i*n+r] = c
-		mapping[i] = r
-		capacity[r] -= c
-		h.insertEntry(i, r)
+		h.assign(i, r, c)
 	}
-	h.unassigned = added
 
 	// Verify the retained state before investing in placement: a kept job
 	// that executed since the recording can only have gotten easier, but a
 	// migrated-in pinned job or drifted debt can break a list.
-	for r := 0; r < n; r++ {
-		if h.lists[r].Len() > 0 && !h.probe(r) {
+	for r := 0; r < h.n; r++ {
+		if h.lists[r].Len() > 0 && !h.probe(r, nil) {
 			return h.repairFailed()
 		}
 	}
 
-	// Desirability rows for the added jobs only (same f_{j,i} as Solve).
-	for _, ji := range added {
-		j := jobs[ji]
-		tl := j.TimeLeft(p.Time)
-		base := ji * n
-		for r := 0; r < n; r++ {
-			c := j.CPM(r, p.Policy)
-			h.cpm[base+r] = c
-			if c == task.NotExecutable {
-				h.des[base+r] = math.Inf(1)
-				continue
-			}
-			e := j.EPM(r, p.Policy)
-			if c > tl+sched.Eps {
-				e += bigM
-			}
-			h.des[base+r] = e
-		}
+	// Place the added jobs: Algorithm 1's lines 8-34 restricted to the
+	// delta, always in max-regret order.
+	if h.place(added, false, false) >= 0 {
+		return h.repairFailed()
 	}
-
-	// Place the added jobs in max-regret order among themselves, each on
-	// its most desirable resource that passes the EDF trial insert —
-	// Algorithm 1's lines 8-34 restricted to the delta.
-	for len(added) > 0 {
-		pick := -1
-		dStar := math.Inf(-1)
-		for k, ji := range added {
-			base := ji * n
-			best, second := math.Inf(1), math.Inf(1)
-			cnt := 0
-			for r := 0; r < n; r++ {
-				c := h.cpm[base+r]
-				if c == task.NotExecutable || c > capacity[r]+sched.Eps {
-					continue
-				}
-				cnt++
-				if f := h.des[base+r]; f < best {
-					best, second = f, best
-				} else if f < second {
-					second = f
-				}
-			}
-			if cnt == 0 {
-				return h.repairFailed()
-			}
-			if reg := second - best; reg > dStar {
-				dStar = reg
-				pick = k
-			}
-		}
-		ji := added[pick]
-		added = append(added[:pick], added[pick+1:]...)
-
-		base := ji * n
-		ps := h.pickSet[:0]
-		for r := 0; r < n; r++ {
-			if c := h.cpm[base+r]; c != task.NotExecutable && c <= capacity[r]+sched.Eps {
-				ps = append(ps, r)
-			}
-		}
-		placed := false
-		for len(ps) > 0 {
-			bi, bf := -1, math.Inf(1)
-			for k, r := range ps {
-				if f := h.des[base+r]; f < bf {
-					bf, bi = f, k
-				}
-			}
-			r := ps[bi]
-			pos := h.insertEntry(ji, r)
-			if h.probe(r) {
-				mapping[ji] = r
-				capacity[r] -= h.cpm[base+r]
-				placed = true
-				break
-			}
-			h.lists[r].Remove(p.Time, pos)
-			ps = append(ps[:bi], ps[bi+1:]...)
-		}
-		if !placed {
-			return h.repairFailed()
-		}
-	}
-
 	h.flushCacheStats()
 	return mapping, p.Energy(mapping), true
-}
-
-// probe checks resource r's current entry list, through the cache when
-// one is attached.
-func (h *Heuristic) probe(r int) bool {
-	return h.lists[r].Feasible(h.p.Platform.Resource(r).Preemptable(), h.p.Time,
-		&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, nil)
 }
 
 // repairFailed counts and reports an abandoned repair.

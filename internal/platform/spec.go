@@ -100,15 +100,21 @@ func Parse(spec string) (*Platform, error) {
 	return p, nil
 }
 
-// Spec renders the platform as a canonical Parse-able spec, e.g. "5c1g".
-// A kind with zero resources is omitted.
+// Spec renders the platform as a canonical Parse-able spec: one
+// <count><kind> token per run of same-kind resources, in resource order,
+// so Parse(p.Spec()) rebuilds p ("5c1g", "1g2c", "2c1g2c").
 func (p *Platform) Spec() string {
 	var b strings.Builder
-	if n := p.NumCPUs(); n > 0 {
-		fmt.Fprintf(&b, "%dc", n)
-	}
-	if n := p.NumGPUs(); n > 0 {
-		fmt.Fprintf(&b, "%dg", n)
+	for i := 0; i < len(p.resources); {
+		kind, n := p.resources[i].Kind, 0
+		for ; i < len(p.resources) && p.resources[i].Kind == kind; i++ {
+			n++
+		}
+		tok := 'c'
+		if kind == GPU {
+			tok = 'g'
+		}
+		fmt.Fprintf(&b, "%d%c", n, tok)
 	}
 	return b.String()
 }

@@ -68,7 +68,7 @@ func TestParseMatchesNew(t *testing.T) {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	for _, spec := range []string{"5c1g", "64c8g", "2c", "1g"} {
+	for _, spec := range []string{"5c1g", "64c8g", "2c", "1g", "1g2c", "2c1g2c"} {
 		p, err := Parse(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package task
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,12 @@ import (
 
 	"predrm/internal/platform"
 )
+
+// ErrPlatformLayout is returned by Write for a platform whose resource
+// order the cpus/gpus header cannot reproduce: Read rebuilds CPUs first,
+// so a set on a GPU-first or interleaved platform ("1g2c", "2c1g2c")
+// would read back with its WCET/energy columns bound to other resources.
+var ErrPlatformLayout = errors.New("task: platform layout not representable as cpus+gpus")
 
 // setJSON is the serialised form of a Set. Executability is encoded by
 // substituting nulls for NotExecutable (MaxFloat64 does not round-trip
@@ -51,12 +58,17 @@ func decodeVals(vals []*float64) []float64 {
 	return out
 }
 
-// Write serialises the set (platform shape and all types) as JSON.
+// Write serialises the set (platform shape and all types) as JSON. The
+// shape is stored as cpus/gpus counts, so only CPU-first platforms can be
+// written; any other layout fails with ErrPlatformLayout.
 func (s *Set) Write(w io.Writer) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
 	doc := setJSON{CPUs: s.Platform.NumCPUs(), GPUs: s.Platform.NumGPUs()}
+	if spec := s.Platform.Spec(); spec != platform.New(doc.CPUs, doc.GPUs).Spec() {
+		return fmt.Errorf("%w: %s", ErrPlatformLayout, spec)
+	}
 	for _, ty := range s.Types {
 		doc.Types = append(doc.Types, typeJSON{
 			ID:        ty.ID,

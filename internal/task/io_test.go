@@ -2,6 +2,7 @@ package task
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -30,6 +31,30 @@ func TestSetJSONRoundTrip(t *testing.T) {
 	for i := range s.Types {
 		if !reflect.DeepEqual(s.Types[i], got.Types[i]) {
 			t.Fatalf("type %d changed in round trip:\n%+v\n%+v", i, s.Types[i], got.Types[i])
+		}
+	}
+}
+
+// TestSetWriteRefusesUnrepresentableLayout: the file header stores only
+// cpus/gpus and Read rebuilds CPUs first, so a set generated on a
+// GPU-first or interleaved platform must be refused by Write rather than
+// read back with its columns bound to other resources.
+func TestSetWriteRefusesUnrepresentableLayout(t *testing.T) {
+	for _, spec := range []string{"1g2c", "2c1g2c"} {
+		plat, err := platform.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Generate(plat, DefaultGenConfig(), rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Write(&buf); !errors.Is(err, ErrPlatformLayout) {
+			t.Fatalf("%s: Write error %v, want ErrPlatformLayout", spec, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%s: refused write still emitted %d bytes", spec, buf.Len())
 		}
 	}
 }
