@@ -1,16 +1,16 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build test vet fmtcheck race fuzz bench benchcheck tracecheck
+.PHONY: check build test vet fmtcheck race allocs fuzz bench benchcheck tracecheck
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
 # end-to-end test, including the concurrent exact search, the sharded
-# epochs and the wall-clock server), audit the golden trace with the
-# replay checker, fuzz the heuristic against its seed implementation, and
-# gate the hot-path benchmarks against the committed baseline (skip:
-# BENCHCHECK=0).
-check: vet fmtcheck build race fuzz tracecheck benchcheck
+# epochs and the wall-clock server), run the allocation budgets the race
+# build skips, audit the golden trace with the replay checker, fuzz the
+# heuristic against its seed implementation, and gate the hot-path
+# benchmarks against the committed baseline (skip: BENCHCHECK=0).
+check: vet fmtcheck build race allocs fuzz tracecheck benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
 # is the offending file list).
@@ -35,6 +35,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the allocation-budget tests (files tagged !race, since the
+# race detector allocates on its own): a steady-state activation, a
+# sharded epoch, Problem.Schedule with a warm scratch and the exact
+# solver's ordering.
+allocs:
+	$(GO) test -run 'AllocBudget' ./internal/sched ./internal/exact ./internal/engine
 
 # fuzz explores random platforms of 1-80 resources (both candidate sources
 # of the heuristic) beyond the committed seed corpus, asserting Solve

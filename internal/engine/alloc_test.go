@@ -1,0 +1,119 @@
+//go:build !race
+
+// Allocation budgets of the activation path. The race detector adds
+// allocations of its own, so these run only without it (make allocs).
+
+package engine
+
+import (
+	"testing"
+
+	"predrm/internal/core"
+	"predrm/internal/platform"
+	"predrm/internal/predict"
+	"predrm/internal/rng"
+	"predrm/internal/sched"
+	"predrm/internal/task"
+	"predrm/internal/trace"
+)
+
+// allocsPerDecision returns the allocations per decision while drive
+// admits the second half of an n-request trace, the first half having
+// warmed up every buffer (testing.AllocsPerRun's warm-up call drives it).
+func allocsPerDecision(n int, drive func(lo, hi int)) float64 {
+	half, calls := n/2, 0
+	perCall := testing.AllocsPerRun(1, func() {
+		drive(calls*half, (calls+1)*half)
+		calls++
+	})
+	return perCall / float64(half)
+}
+
+// TestActivateAllocBudget: a steady-state activation on the paper's 5c1g
+// with the heuristic, its feasibility cache and the oracle predictor
+// allocates little beyond the jobs it creates (the arriving job and the
+// forecast's planning job).
+func TestActivateAllocBudget(t *testing.T) {
+	plat := platform.Default()
+	set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Generate(set, trace.GenConfig{
+		Length:           2000,
+		InterarrivalMean: 2.2,
+		InterarrivalStd:  0.7,
+		Tightness:        trace.VeryTight,
+	}, rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := predict.NewOracle(tr, predict.OracleConfig{TypeAccuracy: 1, NumTypes: set.Len(), Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		Platform:  plat,
+		TaskSet:   set,
+		Solver:    &core.Heuristic{Cache: sched.NewFeasCache(0)},
+		Predictor: oracle,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := allocsPerDecision(tr.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if _, err := e.Activate(i, tr.Requests[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.2f allocs per decision", got)
+	const budget = 8
+	if got > budget {
+		t.Fatalf("Activate: %.2f allocs per decision, budget %d", got, budget)
+	}
+}
+
+// TestShardedEpochAllocBudget: batch epochs on the committed 64c8g
+// fixture in two shards stay within a per-decision budget, the epoch's
+// routing, goroutines and outcome slices included.
+func TestShardedEpochAllocBudget(t *testing.T) {
+	set, err := task.ReadFile("../../testdata/scale/taskset.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadFile("../../testdata/scale/trace-VT-000.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSharded(Config{Platform: set.Platform, TaskSet: set}, ShardConfig{
+		Shards:    2,
+		NewSolver: func() core.Solver { return &core.Heuristic{Cache: sched.NewFeasCache(0)} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 1.0
+	reqs := tr.Requests
+	got := allocsPerDecision(len(reqs), func(lo, hi int) {
+		for i := lo; i < hi; {
+			// The epochs sim.RunSharded forms: every arrival within the
+			// window of the first, closing at the window's end.
+			j := i + 1
+			for j < hi && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
+				j++
+			}
+			close := max(reqs[i].Arrival+window, reqs[j-1].Arrival)
+			if _, err := s.ActivateEpoch(i, reqs[i:j], close); err != nil {
+				t.Fatal(err)
+			}
+			i = j
+		}
+	})
+	t.Logf("%.2f allocs per decision", got)
+	const budget = 10
+	if got > budget {
+		t.Fatalf("Sharded.ActivateEpoch: %.2f allocs per decision, budget %d", got, budget)
+	}
+}

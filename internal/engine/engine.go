@@ -355,6 +355,24 @@ type Engine struct {
 	critEnergy map[*sched.Job]float64
 	// finished counts completed adaptive jobs, for StateProbe samples.
 	finished int
+	// The activation buffers, reused at every activation so that one
+	// costs no allocation beyond the jobs it creates (DESIGN.md §11):
+	// the job list and mapping decide and replan assemble, the problem
+	// handed to the solver and the scheduler, the replan's schedule
+	// scratch, the dispatch list of an execution step, the greedy
+	// per-resource heads and the state-probe resources. Nothing keeps
+	// them past the activation.
+	jobs     []*sched.Job
+	mapping  []int
+	problem  sched.Problem
+	schedBuf sched.ScheduleScratch
+	acts     []execAction
+	heads    []*sched.Job
+	probeRes []ResourceSample
+	// ghostBufs alternate as reservation storage: pendingResv keeps the
+	// previous activation's ghosts until the next replan flushes them,
+	// and this activation's decisions write theirs before that.
+	ghostBufs [2][]ghostRef
 	// finalized guards Finalize's one-shot bookkeeping.
 	finalized bool
 }
@@ -526,7 +544,8 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 	r.forecast(startIdx)
 
 	last := len(reqs) - 1
-	var ghosts []ghostRef
+	r.ghostBufs[0], r.ghostBufs[1] = r.ghostBufs[1], r.ghostBufs[0]
+	ghosts := r.ghostBufs[0][:0]
 	for i, req := range reqs {
 		var err error
 		if outs[i], ghosts, err = r.decide(startIdx+i, req, ghosts); err != nil {
@@ -559,6 +578,7 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 	}
 	// A rejection installs no reservation but still drops the stale one
 	// (its request has now arrived), keeping the standing mappings.
+	r.ghostBufs[0] = ghosts
 	if err := r.replan(ghosts); err != nil {
 		return err
 	}
@@ -602,17 +622,19 @@ func (r *Engine) forecast(req int) {
 // time: it assembles the S̄ problem (active jobs, the arriving job, the
 // upcoming critical releases, the forecast), solves it and, on
 // admission, applies the mapping. It returns the outcome and the mapped
-// predicted jobs, reusing ghosts' storage (nil on rejection).
+// predicted jobs, reusing ghosts' storage (empty on rejection). The
+// problem lives in the engine's activation buffers.
 func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome, []ghostRef, error) {
 	newJob := sched.NewJob(idx, r.cfg.TaskSet.Type(req.Type), req.Arrival, req.Deadline)
-	jobs := make([]*sched.Job, 0, len(r.active)+1+len(r.preds))
-	jobs = append(jobs, r.active...)
+	jobs := append(r.jobs[:0], r.active...)
 	newIdx := len(jobs)
 	jobs = append(jobs, newJob)
 	jobs = append(jobs, r.upcomingCritical(jobs)...)
 	jobs = append(jobs, r.preds...)
+	r.jobs = jobs
 
-	problem := &sched.Problem{
+	problem := &r.problem
+	*problem = sched.Problem{
 		Platform: r.cfg.Platform,
 		Time:     r.now,
 		Jobs:     jobs,
@@ -680,7 +702,7 @@ func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome,
 			Time:     r.now,
 			Resource: sched.Unmapped,
 			Reason:   telemetry.ReasonNoFeasibleMapping,
-		}, nil, nil
+		}, ghosts[:0], nil
 	}
 	r.res.Accepted++
 	r.ins.accepted.Inc()

@@ -10,11 +10,14 @@ import (
 	"predrm/internal/telemetry"
 )
 
-// probe reports the current RM state through Config.StateProbe.
+// probe reports the current RM state through Config.StateProbe. The
+// sample's Resources reuse one engine-owned buffer, which the StateProbe
+// contract forbids keeping past the call.
 func (r *Engine) probe(req int) {
 	if r.cfg.StateProbe == nil {
 		return
 	}
+	r.probeRes = zeroedSamples(r.probeRes, r.cfg.Platform.Len())
 	s := StateSample{
 		Time:           r.now,
 		Req:            req,
@@ -24,7 +27,7 @@ func (r *Engine) probe(req int) {
 		Finished:       r.finished,
 		DeadlineMisses: r.res.DeadlineMisses,
 		InFlight:       len(r.active),
-		Resources:      make([]ResourceSample, r.cfg.Platform.Len()),
+		Resources:      r.probeRes,
 	}
 	for _, j := range r.active {
 		if j.Resource == sched.Unmapped {
@@ -40,6 +43,17 @@ func (r *Engine) probe(req int) {
 		s.Resources[g.res].Reserved++
 	}
 	r.cfg.StateProbe(s)
+}
+
+// zeroedSamples returns buf resized to n zeroed samples, reusing its
+// storage when it is large enough.
+func zeroedSamples(buf []ResourceSample, n int) []ResourceSample {
+	if cap(buf) < n {
+		return make([]ResourceSample, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // emitLifecycle reports a job execution transition on resource res.
@@ -365,8 +379,10 @@ type ghostRef struct {
 
 // replan rebuilds the standing schedule from the active jobs' current
 // mappings, optionally reserving capacity for the mapped predicted jobs.
-// A failure to reconstruct a feasible schedule means the RM's invariant
-// broke; it is surfaced as an error.
+// It reuses the engine's job, mapping, problem and schedule buffers and
+// truncates each resource's plan in place. A failure to reconstruct a
+// feasible schedule means the RM's invariant broke; it is surfaced as an
+// error.
 func (r *Engine) replan(ghosts []ghostRef) error {
 	if r.cfg.WorkConserving {
 		return nil // greedy dispatch reads job state directly
@@ -375,9 +391,8 @@ func (r *Engine) replan(ghosts []ghostRef) error {
 	// The previous activation's reservations end here; report their fate.
 	r.flushReservations()
 	r.pendingResv = ghosts
-	jobs := make([]*sched.Job, 0, len(r.active)+len(ghosts))
-	jobs = append(jobs, r.active...)
-	mapping := make([]int, 0, cap(jobs))
+	jobs := append(r.jobs[:0], r.active...)
+	mapping := r.mapping[:0]
 	for _, j := range jobs {
 		mapping = append(mapping, j.Resource)
 	}
@@ -385,27 +400,27 @@ func (r *Engine) replan(ghosts []ghostRef) error {
 		jobs = append(jobs, g.job)
 		mapping = append(mapping, g.res)
 	}
-	if len(jobs) == 0 {
-		r.plan = nil
-		return nil
-	}
-	p := &sched.Problem{Platform: r.cfg.Platform, Time: r.now, Jobs: jobs, Policy: r.cfg.Policy}
-	segsByRes, ok := p.Schedule(mapping)
+	r.jobs, r.mapping = jobs, mapping
+	r.problem = sched.Problem{Platform: r.cfg.Platform, Time: r.now, Jobs: jobs, Policy: r.cfg.Policy}
+	segsByRes, ok := r.problem.Schedule(mapping, &r.schedBuf)
 	if !ok {
 		return fmt.Errorf("engine: replan at t=%.6f produced an infeasible schedule (RM invariant broken); jobs=%v",
 			r.now, jobs)
 	}
-	plan := make([][]planSeg, r.cfg.Platform.Len())
+	if len(r.plan) != len(segsByRes) {
+		r.plan = make([][]planSeg, len(segsByRes))
+	}
 	for res, segs := range segsByRes {
+		plan := r.plan[res][:0]
 		for _, s := range segs {
 			ps := planSeg{start: s.Start, end: s.End}
 			if !jobs[s.Index].Predicted {
 				ps.job = jobs[s.Index]
 			}
-			plan[res] = append(plan[res], ps)
+			plan = append(plan, ps)
 		}
+		r.plan[res] = plan
 	}
-	r.plan = plan
 	return nil
 }
 
@@ -420,7 +435,7 @@ func (r *Engine) advance(target float64) {
 		if len(r.active) == 0 {
 			break // reap keeps only unfinished jobs
 		}
-		var acts []execAction
+		acts := r.acts[:0]
 		step := math.Inf(1)
 		if !math.IsInf(target, 1) {
 			step = target - r.now
@@ -456,20 +471,11 @@ func (r *Engine) advance(target float64) {
 				break
 			}
 		}
+		r.acts = acts
 		if len(acts) == 0 && math.IsInf(step, 1) {
 			break // no runnable segment and no upcoming boundary
 		}
-		if step <= 0 {
-			step = sched.Eps
-		}
-		if r.running != nil {
-			r.notePauses(acts)
-		}
-		for _, a := range acts {
-			r.execute(a.job, a.res, step)
-		}
-		r.now += step
-		r.reap()
+		r.dispatch(acts, step)
 	}
 	if !math.IsInf(target, 1) && target > r.now {
 		r.now = target
@@ -479,53 +485,59 @@ func (r *Engine) advance(target float64) {
 // advanceGreedy executes work-conserving EDF dispatch up to target
 // (Config.WorkConserving).
 func (r *Engine) advanceGreedy(target float64) {
+	if r.heads == nil {
+		r.heads = make([]*sched.Job, r.cfg.Platform.Len())
+	}
 	for r.now < target-sched.Eps {
 		// Pick each resource's EDF head.
-		heads := make(map[int]*sched.Job, r.cfg.Platform.Len())
+		clear(r.heads)
 		for _, j := range r.active {
 			if j.Done() || j.Resource == sched.Unmapped {
 				continue
 			}
-			cur, ok := heads[j.Resource]
-			if !ok {
-				heads[j.Resource] = j
+			if cur := r.heads[j.Resource]; cur != nil {
+				j = preferHead(r.cfg.Platform, cur, j)
+			}
+			r.heads[j.Resource] = j
+		}
+		// Next event: earliest head completion, capped at target. Heads
+		// dispatch in resource order so trace emission is deterministic.
+		step := target - r.now
+		acts := r.acts[:0]
+		for res, j := range r.heads {
+			if j == nil {
 				continue
 			}
-			heads[j.Resource] = preferHead(r.cfg.Platform, cur, j)
-		}
-		if len(heads) == 0 {
-			break // idle until target
-		}
-		// Next event: earliest head completion, capped at target.
-		step := target - r.now
-		for res, j := range heads {
-			need := j.MigDebt + j.Frac*j.Type.WCET[res]
-			if need < step {
+			if need := j.MigDebt + j.Frac*j.Type.WCET[res]; need < step {
 				step = need
 			}
+			acts = append(acts, execAction{res, j})
 		}
-		if step <= 0 {
-			step = sched.Eps
+		r.acts = acts
+		if len(acts) == 0 {
+			break // idle until target
 		}
-		// Dispatch in resource order so trace emission is deterministic.
-		acts := make([]execAction, 0, len(heads))
-		for res := 0; res < r.cfg.Platform.Len(); res++ {
-			if j, ok := heads[res]; ok {
-				acts = append(acts, execAction{res, j})
-			}
-		}
-		if r.running != nil {
-			r.notePauses(acts)
-		}
-		for _, a := range acts {
-			r.execute(a.job, a.res, step)
-		}
-		r.now += step
-		r.reap()
+		r.dispatch(acts, step)
 	}
 	if !math.IsInf(target, 1) && target > r.now {
 		r.now = target
 	}
+}
+
+// dispatch runs one execution step of length step (at least Eps): every
+// action serves its job, then the clock moves and finished jobs retire.
+func (r *Engine) dispatch(acts []execAction, step float64) {
+	if step <= 0 {
+		step = sched.Eps
+	}
+	if r.running != nil {
+		r.notePauses(acts)
+	}
+	for _, a := range acts {
+		r.execute(a.job, a.res, step)
+	}
+	r.now += step
+	r.reap()
 }
 
 // preferHead picks which of two jobs on the same resource runs now: the

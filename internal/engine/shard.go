@@ -74,6 +74,8 @@ type Sharded struct {
 	routes []int
 	single *Engine // set when Shards == 1: full delegation
 	res    *Result // merged result, built once by Finalize
+	// probeRes backs the merged samples' Resources, reused like Engine's.
+	probeRes []ResourceSample
 }
 
 // NewSharded partitions cfg.Platform into sc.Shards shards and builds
@@ -314,10 +316,11 @@ func (s *Sharded) probeGlobal(req int) {
 	if s.cfg.StateProbe == nil {
 		return
 	}
+	s.probeRes = zeroedSamples(s.probeRes, s.cfg.Platform.Len())
 	sample := StateSample{
 		Time:      s.Now(),
 		Req:       req,
-		Resources: make([]ResourceSample, s.cfg.Platform.Len()),
+		Resources: s.probeRes,
 	}
 	for si := range s.shards {
 		e := s.shards[si].eng

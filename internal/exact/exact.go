@@ -17,8 +17,9 @@
 package exact
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"predrm/internal/core"
@@ -473,19 +474,20 @@ func (o *Optimal) entry(jobIdx, r int) sched.Entry {
 }
 
 // prepareOrders computes the branching structures for the free jobs,
-// reusing the slices of earlier solves.
+// reusing the slices of earlier solves. The slices sorts run the same
+// pdqsort and stable merge as sort.Slice and sort.SliceStable, so the
+// orders are identical, without the reflective swapper.
 func (o *Optimal) prepareOrders(free []int) {
 	p := o.p
 	n := p.Platform.Len()
 	k := len(free)
 	o.order = append(o.order[:0], free...)
-	sort.SliceStable(o.order, func(a, b int) bool {
-		ja, jb := p.Jobs[o.order[a]], p.Jobs[o.order[b]]
-		ea, eb := ja.Type.NumExecutable(), jb.Type.NumExecutable()
-		if ea != eb {
-			return ea < eb
+	slices.SortStableFunc(o.order, func(a, b int) int {
+		ja, jb := p.Jobs[a], p.Jobs[b]
+		if c := cmp.Compare(ja.Type.NumExecutable(), jb.Type.NumExecutable()); c != 0 {
+			return c
 		}
-		return ja.TimeLeft(p.Time) < jb.TimeLeft(p.Time)
+		return cmp.Compare(ja.TimeLeft(p.Time), jb.TimeLeft(p.Time))
 	})
 	if cap(o.minE) < k {
 		o.minE = make([]float64, k)
@@ -515,8 +517,8 @@ func (o *Optimal) prepareOrders(free []int) {
 			}
 			rs = append(rs, r)
 		}
-		sort.Slice(rs, func(a, b int) bool {
-			return j.EPM(rs[a], p.Policy) < j.EPM(rs[b], p.Policy)
+		slices.SortFunc(rs, func(a, b int) int {
+			return cmp.Compare(j.EPM(a, p.Policy), j.EPM(b, p.Policy))
 		})
 		o.resOrder[d] = rs
 		if len(rs) == 0 {

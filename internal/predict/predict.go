@@ -126,38 +126,43 @@ func NewOracle(tr *trace.Trace, cfg OracleConfig) (*Oracle, error) {
 func (o *Oracle) Observe(idx int, _ trace.Request) { o.last = idx }
 
 // Predict returns the (degraded) next request.
-func (o *Oracle) Predict() (Prediction, bool) {
-	ps := o.PredictK(1)
-	if len(ps) == 0 {
-		return Prediction{}, false
-	}
-	return ps[0], true
-}
+func (o *Oracle) Predict() (Prediction, bool) { return o.step(1) }
 
 // PredictK returns up to k upcoming requests, each independently degraded.
 func (o *Oracle) PredictK(k int) []Prediction {
 	var out []Prediction
 	for step := 1; step <= k; step++ {
-		next := o.last + step
-		if next >= o.trace.Len() {
+		p, ok := o.step(step)
+		if !ok {
 			break
-		}
-		req := o.trace.Requests[next]
-		p := Prediction{Type: req.Type, Arrival: req.Arrival, Deadline: req.Deadline}
-		if o.typeAccuracy < 1 && o.rand.Float64() >= o.typeAccuracy {
-			// Draw a uniformly random *wrong* type.
-			wrong := o.rand.Intn(o.numTypes - 1)
-			if wrong >= req.Type {
-				wrong++
-			}
-			p.Type = wrong
-		}
-		if o.sigma > 0 {
-			p.Arrival += o.rand.Gaussian(0, o.sigma)
 		}
 		out = append(out, p)
 	}
 	return out
+}
+
+// step returns the request k places after the last observed one,
+// degraded by the type-accuracy draw and then the arrival noise, or false
+// past the end of the trace.
+func (o *Oracle) step(k int) (Prediction, bool) {
+	next := o.last + k
+	if next >= o.trace.Len() {
+		return Prediction{}, false
+	}
+	req := o.trace.Requests[next]
+	p := Prediction{Type: req.Type, Arrival: req.Arrival, Deadline: req.Deadline}
+	if o.typeAccuracy < 1 && o.rand.Float64() >= o.typeAccuracy {
+		// Draw a uniformly random *wrong* type.
+		wrong := o.rand.Intn(o.numTypes - 1)
+		if wrong >= req.Type {
+			wrong++
+		}
+		p.Type = wrong
+	}
+	if o.sigma > 0 {
+		p.Arrival += o.rand.Gaussian(0, o.sigma)
+	}
+	return p, true
 }
 
 var _ MultiPredictor = (*Oracle)(nil)

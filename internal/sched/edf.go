@@ -41,7 +41,9 @@ type Segment struct {
 //
 // The returned segments describe the schedule even when infeasible (up to
 // the point each entry completes); feasible is false as soon as any entry
-// finishes past its deadline.
+// finishes past its deadline. Each call allocates its own segments and
+// work buffer; Problem.Schedule runs the same simulation into a reusable
+// ScheduleScratch.
 func SimulateEDF(preemptable bool, t float64, entries []Entry) (segs []Segment, feasible bool) {
 	if len(entries) == 0 {
 		return nil, true
@@ -120,17 +122,21 @@ func entryBefore(preemptable bool, a, b *Entry) bool {
 }
 
 // simulateEDF is the one EDF event simulation behind SimulateEDF,
-// ResourceFeasible and the explained probe. rem is its remaining-work
-// buffer, one slot per entry. Both sinks are optional: segs receives the
-// constructed schedule, v the explained verdict (tightest completion
-// slack, the first entry in index order that broke its deadline), whose
-// Slack the caller initialises to +Inf. With either sink the simulation
+// Problem.Schedule, ResourceFeasible and the explained probe. rem is its
+// remaining-work buffer, one slot per entry. Both sinks are optional:
+// segs receives the constructed schedule, appended into (*segs)[:0] so
+// the caller's storage is reused, v the explained verdict (tightest
+// completion slack, the first entry in index order that broke its
+// deadline), whose Slack the caller initialises to +Inf. With either sink the simulation
 // runs to the end; with neither it returns at the first deadline miss.
 func simulateEDF(preemptable bool, t float64, entries []Entry, rem []float64, segs *[]Segment, v *FeasVerdict) bool {
 	for i, e := range entries {
 		rem[i] = e.Rem
 	}
 	var out []Segment // the segment sink's schedule, kept local in the loop
+	if segs != nil {
+		out = (*segs)[:0]
+	}
 	feasible := true
 	now := t
 	var running = Unmapped // entry currently committed on a non-preemptable resource

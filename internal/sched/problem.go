@@ -185,41 +185,40 @@ func (p *Problem) Energy(mapping []int) float64 {
 	return total
 }
 
-// Schedule reconstructs the per-resource EDF segments for a mapping, for
-// diagnostics, examples and the simulator's cross-checks. The second result
-// reports overall feasibility.
-func (p *Problem) Schedule(mapping []int) (map[int][]Segment, bool) {
+// Schedule reconstructs the per-resource EDF schedule of a mapping: the
+// result is indexed by resource id, each segment's Index naming a job of
+// p.Jobs, and an unused resource has no segments. The second result
+// reports overall feasibility; a structurally invalid mapping yields
+// (nil, false). With a non-nil scratch the segments live in the scratch
+// and stay valid only until its next use, and a warm scratch makes the
+// call allocation-free; a nil scratch means per-call buffers the caller
+// owns.
+func (p *Problem) Schedule(mapping []int, s *ScheduleScratch) ([][]Segment, bool) {
 	if !p.MappingValid(mapping) {
 		return nil, false
 	}
+	if s == nil {
+		s = new(ScheduleScratch)
+	}
 	n := p.Platform.Len()
-	type slot struct {
-		entry Entry
-		job   int
+	s.reset(n)
+	for i, r := range mapping {
+		s.buckets[r] = append(s.buckets[r], i)
 	}
-	buckets := make([][]slot, n)
-	for i, j := range p.Jobs {
-		buckets[mapping[i]] = append(buckets[mapping[i]], slot{p.entry(j, mapping[i]), i})
-	}
-	out := make(map[int][]Segment, n)
 	ok := true
-	for r := 0; r < n; r++ {
-		if len(buckets[r]) == 0 {
-			continue
+	for r, bucket := range s.buckets {
+		entries := s.entries[:0]
+		for _, i := range bucket {
+			entries = append(entries, p.entry(p.Jobs[i], r))
 		}
-		entries := make([]Entry, len(buckets[r]))
-		for k, s := range buckets[r] {
-			entries[k] = s.entry
-		}
-		segs, feasible := SimulateEDF(p.Platform.Resource(r).Preemptable(), p.Time, entries)
-		if !feasible {
+		s.entries = entries
+		if !simulateEDF(p.Platform.Resource(r).Preemptable(), p.Time, entries, s.edf.rems(len(entries)), &s.segs[r], nil) {
 			ok = false
 		}
 		// Translate entry indices back to job indices.
-		for k := range segs {
-			segs[k].Index = buckets[r][segs[k].Index].job
+		for k := range s.segs[r] {
+			s.segs[r][k].Index = bucket[s.segs[r][k].Index]
 		}
-		out[r] = segs
 	}
-	return out, ok
+	return s.segs, ok
 }

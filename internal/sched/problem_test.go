@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"predrm/internal/platform"
@@ -220,7 +221,7 @@ func TestEnergyNotExecutable(t *testing.T) {
 
 func TestScheduleReconstruction(t *testing.T) {
 	p := motivProblem(true)
-	segs, ok := p.Schedule([]int{0, 2})
+	segs, ok := p.Schedule([]int{0, 2}, nil)
 	if !ok {
 		t.Fatal("feasible mapping reported infeasible by Schedule")
 	}
@@ -233,17 +234,54 @@ func TestScheduleReconstruction(t *testing.T) {
 	if len(gpu) != 1 || gpu[0].Index != 1 || gpu[0].Start != 1 || gpu[0].End != 4 {
 		t.Fatalf("GPU schedule = %+v", gpu)
 	}
-	if _, ok := p.Schedule([]int{-1, 2}); ok {
+	if _, ok := p.Schedule([]int{-1, 2}, nil); ok {
 		t.Fatal("Schedule accepted invalid mapping")
 	}
 	// Infeasible but valid mapping: feasible=false, schedule still built.
-	segs, ok = p.Schedule([]int{2, 2})
+	segs, ok = p.Schedule([]int{2, 2}, nil)
 	if ok {
 		t.Fatal("double-booked GPU reported feasible")
 	}
 	if len(segs[2]) == 0 {
 		t.Fatal("no schedule reconstructed for infeasible mapping")
 	}
+}
+
+// randomProblem draws an n-job problem on plat with a valid mapping:
+// queued, mapped and started jobs and, with withPred, sometimes a
+// predicted job that arrives after the activation time.
+func randomProblem(r *rng.Rand, plat *platform.Platform, set *task.Set, n int, withPred bool) (*Problem, []int) {
+	jobs := make([]*Job, n)
+	mapping := make([]int, n)
+	now := r.Uniform(0, 100)
+	for i := range jobs {
+		ty := set.Type(r.Intn(set.Len()))
+		arr := now - r.Uniform(0, 20)
+		predicted := withPred && r.Float64() < 0.1
+		if predicted {
+			arr = now + r.Uniform(0, 10)
+		}
+		j := NewJob(i, ty, arr, r.Uniform(10, 200))
+		j.Predicted = predicted
+		if !predicted && r.Float64() < 0.5 {
+			j.Resource = r.Intn(plat.Len())
+			if r.Float64() < 0.5 {
+				j.Started = true
+				j.ExecRes = j.Resource
+				j.Frac = r.Uniform(0.1, 1)
+			}
+		}
+		if j.AbsDeadline <= now {
+			j.AbsDeadline = now + r.Uniform(1, 50)
+		}
+		jobs[i] = j
+		if j.Pinned(plat) {
+			mapping[i] = j.Resource
+		} else {
+			mapping[i] = r.Intn(plat.Len())
+		}
+	}
+	return &Problem{Platform: plat, Time: now, Jobs: jobs}, mapping
 }
 
 // TestFeasibleMappingRandomisedConsistency cross-checks FeasibleMapping
@@ -256,37 +294,47 @@ func TestFeasibleMappingRandomisedConsistency(t *testing.T) {
 	}
 	r := rng.New(17)
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(8)
-		jobs := make([]*Job, n)
-		mapping := make([]int, n)
-		now := r.Uniform(0, 100)
-		for i := range jobs {
-			ty := set.Type(r.Intn(set.Len()))
-			arr := now - r.Uniform(0, 20)
-			j := NewJob(i, ty, arr, r.Uniform(10, 200))
-			if r.Float64() < 0.5 {
-				j.Resource = r.Intn(plat.Len())
-				if r.Float64() < 0.5 {
-					j.Started = true
-					j.ExecRes = j.Resource
-					j.Frac = r.Uniform(0.1, 1)
-				}
-			}
-			if j.AbsDeadline <= now {
-				j.AbsDeadline = now + r.Uniform(1, 50)
-			}
-			jobs[i] = j
-			if j.Pinned(plat) {
-				mapping[i] = j.Resource
-			} else {
-				mapping[i] = r.Intn(plat.Len())
-			}
-		}
-		p := &Problem{Platform: plat, Time: now, Jobs: jobs}
+		p, mapping := randomProblem(r, plat, set, 1+r.Intn(8), false)
 		got := p.FeasibleMapping(mapping)
-		_, want := p.Schedule(mapping)
+		_, want := p.Schedule(mapping, nil)
 		if got != want {
 			t.Fatalf("trial %d: FeasibleMapping=%v but Schedule says %v", trial, got, want)
+		}
+	}
+}
+
+// TestScheduleScratchMatchesFresh: one ScheduleScratch reused across
+// random problems — job counts growing and shrinking, platforms of
+// different sizes — gives exactly the schedule of per-call buffers, so no
+// stale bucket, entry or segment leaks from one call into the next.
+func TestScheduleScratchMatchesFresh(t *testing.T) {
+	var plats []*platform.Platform
+	var sets []*task.Set
+	for _, spec := range []string{"5c1g", "1c", "16c2g", "2c1g"} {
+		plat, err := platform.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plats, sets = append(plats, plat), append(sets, set)
+	}
+	r := rng.New(41)
+	var s ScheduleScratch
+	for trial := 0; trial < 400; trial++ {
+		k := r.Intn(len(plats))
+		p, mapping := randomProblem(r, plats[k], sets[k], r.Intn(13), true)
+		want, wantOK := p.Schedule(mapping, nil)
+		got, gotOK := p.Schedule(mapping, &s)
+		if gotOK != wantOK || len(got) != len(want) {
+			t.Fatalf("trial %d: scratch (%d resources, %v), fresh (%d resources, %v)", trial, len(got), gotOK, len(want), wantOK)
+		}
+		for res := range want {
+			if !slices.Equal(got[res], want[res]) {
+				t.Fatalf("trial %d resource %d: scratch %+v, fresh %+v", trial, res, got[res], want[res])
+			}
 		}
 	}
 }

@@ -24,3 +24,28 @@ func (s *EDFScratch) rems(n int) []float64 {
 	s.rem = s.rem[:n]
 	return s.rem
 }
+
+// ScheduleScratch holds the reusable buffers of Problem.Schedule: the
+// per-resource job-index buckets, one Entry buffer, the EDF work buffer
+// and the per-resource segment slices the result is built in. The zero
+// value is ready to use; buffers grow on demand and are retained across
+// calls, so a warm scratch schedules without allocating. Not safe for
+// concurrent use.
+type ScheduleScratch struct {
+	buckets [][]int
+	entries []Entry
+	edf     EDFScratch
+	segs    [][]Segment
+}
+
+// reset sizes the buckets and segment slices to n resources, emptying
+// every bucket while keeping its storage.
+func (s *ScheduleScratch) reset(n int) {
+	if cap(s.buckets) < n {
+		s.buckets, s.segs = make([][]int, n), make([][]Segment, n)
+	}
+	s.buckets, s.segs = s.buckets[:n], s.segs[:n]
+	for r := range s.buckets {
+		s.buckets[r] = s.buckets[r][:0]
+	}
+}
