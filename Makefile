@@ -1,16 +1,17 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build test vet fmtcheck race allocs fuzz bench benchcheck tracecheck
+.PHONY: check build test vet fmtcheck race allocs fuzz bench benchcheck tracecheck cli
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
 # end-to-end test, including the concurrent exact search, the sharded
 # epochs and the wall-clock server), run the allocation budgets the race
 # build skips, audit the golden trace with the replay checker, fuzz the
-# heuristic against its seed implementation, and gate the hot-path
-# benchmarks against the committed baseline (skip: BENCHCHECK=0).
-check: vet fmtcheck build race allocs fuzz tracecheck benchcheck
+# heuristic against its seed implementation, smoke-run the rmsim
+# command-line wiring, and gate the hot-path benchmarks against the
+# committed baseline (skip: BENCHCHECK=0).
+check: vet fmtcheck build race allocs fuzz tracecheck cli benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
 # is the offending file list).
@@ -71,3 +72,21 @@ benchcheck:
 # recorded run must satisfy every resource-manager invariant.
 tracecheck:
 	$(GO) run ./cmd/tracetool check internal/sim/testdata/events.golden.jsonl
+
+# cli smoke-runs rmsim's flag wiring (prediction, each engine, the
+# budgeted fallback chain with injected faults, shards with batch epochs,
+# the Gantt view) and a tracegen -> rmsim -taskset/-trace round trip.
+# Any non-zero exit fails it; rmsim exits 1 on a deadline miss.
+cli:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/rmsim ./cmd/tracegen; \
+	run() { echo "cli: rmsim $$*"; "$$tmp/rmsim" "$$@" >/dev/null; }; \
+	run -predict -len 120 -seed 7; \
+	run -engine greedy; \
+	run -engine milp -len 40; \
+	run -solver-budget 2000 -fault-plan seed=7,solver-error=0.2; \
+	run -shards 2 -platform 16c2g -batch-window 1; \
+	run -gantt 20; \
+	"$$tmp/tracegen" -out "$$tmp/tr" -count 1 -len 60 >/dev/null; \
+	run -taskset "$$tmp/tr/taskset.json" -trace "$$tmp/tr/trace-VT-000.json" -predict; \
+	echo "cli: ok"

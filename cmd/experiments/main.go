@@ -37,12 +37,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"predrm/cmd/internal/cli"
 	"predrm/internal/experiments"
 	"predrm/internal/obs"
 	"predrm/internal/platform"
@@ -247,31 +247,11 @@ func main() {
 		// experiment in the sweep (the enumerated vocabulary makes these
 		// comparable across runs and profiles).
 		m := telemetry.Merge(snaps...)
-		printReasonLine("admit reasons:  ", m.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons: ", m.Counters, "sim.reject_reason.")
+		cli.PrintReasonLine("admit reasons:  ", m.Counters, "sim.admit_reason.")
+		cli.PrintReasonLine("reject reasons: ", m.Counters, "sim.reject_reason.")
 	}
 	fmt.Printf("done in %v (profile=%s, %d traces x %d requests)\n",
 		time.Since(start).Round(time.Millisecond), cfg.Profile.Name, cfg.Traces, cfg.TraceLen)
-}
-
-// printReasonLine renders one decision-reason histogram from the counters
-// under prefix, sorted by reason; empty histograms print nothing.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
 }
 
 // run executes one experiment and returns its tables plus, for

@@ -35,21 +35,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"predrm/cmd/internal/cli"
 	"predrm/internal/core"
 	"predrm/internal/engine"
-	"predrm/internal/exact"
 	"predrm/internal/obs"
-	"predrm/internal/platform"
 	"predrm/internal/rng"
-	"predrm/internal/sched"
 	"predrm/internal/serve"
-	"predrm/internal/task"
 	"predrm/internal/telemetry"
 )
 
@@ -64,7 +58,6 @@ func main() {
 		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work across live activations (milp: repair-based pruning bound; heuristic: EDF probe cache); decisions are identical either way")
 		seed      = flag.Uint64("seed", 1, "task-set seed (ignored with -taskset)")
 		types     = flag.Int("types", 100, "generated task types (ignored with -taskset)")
-		workCons  = flag.Bool("work-conserving", false, "ignore predicted-task reservations between activations")
 		speed     = flag.Float64("speed", 1, "engine time units per real second (replay compression; decisions are speed-invariant)")
 
 		solverBudget = flag.String("solver-budget", "", "per-activation solver budget: a node count (e.g. 20000) or a wall duration (e.g. 5ms); enables the budgeted fallback chain for graceful degradation under load")
@@ -80,7 +73,7 @@ func main() {
 	if *exactWork < 0 {
 		fatalf("-exact-workers %d must be non-negative", *exactWork)
 	}
-	if *engName != "milp" && flagWasSet("exact-workers") {
+	if *engName != "milp" && cli.FlagWasSet("exact-workers") {
 		fatalf("-exact-workers has no effect with -engine %s", *engName)
 	}
 	if *shards < 1 {
@@ -98,78 +91,24 @@ func main() {
 		}
 	}
 
-	var (
-		set *task.Set
-		err error
-	)
-	if *setPath != "" {
-		if *platSpec != "" {
-			fatalf("-platform has no effect with -taskset (the task set carries its platform)")
-		}
-		set, err = task.ReadFile(*setPath)
-		if err != nil {
-			fatalf("load task set: %v", err)
-		}
-	} else {
-		plat := platform.Default()
-		if *platSpec != "" {
-			plat, err = platform.Parse(*platSpec)
-			if err != nil {
-				fatalf("platform: %v", err)
-			}
-		}
-		tcfg := task.DefaultGenConfig()
-		tcfg.NumTypes = *types
-		set, err = task.Generate(plat, tcfg, rng.New(*seed).Split())
-		if err != nil {
-			fatalf("task set: %v", err)
-		}
+	newSolver, err := cli.SolverFactory(*engName, *exactWork, *warmStart)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	budget, err := cli.ParseBudget(*solverBudget)
+	if err != nil {
+		fatalf("solver-budget: %v", err)
+	}
+	set, err := cli.TaskSet(*setPath, *platSpec, *types, rng.New(*seed))
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	cfg := engine.Config{
-		Platform:       set.Platform,
-		TaskSet:        set,
-		WorkConserving: *workCons,
-		Metrics:        telemetry.NewRegistry(),
+		Platform: set.Platform,
+		TaskSet:  set,
+		Metrics:  telemetry.NewRegistry(),
 	}
-	// newSolver builds one solver instance; shards cannot share solver
-	// state, so the sharded engine calls it once per shard (each with its
-	// own warm cache and, under -solver-budget, its own fallback chain).
-	newSolver := func() core.Solver {
-		var warmCache *sched.FeasCache
-		if *warmStart && *engName != "milp" {
-			warmCache = sched.NewFeasCache(0)
-		}
-		var s core.Solver
-		switch *engName {
-		case "heuristic":
-			s = &core.Heuristic{Cache: warmCache}
-		case "greedy":
-			s = &core.Heuristic{Greedy: true, Cache: warmCache}
-		case "milp":
-			s = &exact.Optimal{Workers: *exactWork, WarmStart: *warmStart}
-		default:
-			fatalf("unknown engine %q", *engName)
-		}
-		if *shards > 1 && *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			s = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engName, Solver: s},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-			}
-		}
-		return s
-	}
-	if *shards == 1 {
-		cfg.Solver = newSolver()
-	}
-
 	var (
 		traceFile *os.File
 		tracer    *telemetry.Tracer
@@ -186,21 +125,19 @@ func main() {
 		tracer = telemetry.NewTracer(topts)
 		cfg.Tracer = tracer
 		cfg.Provenance = *provOn
-
-		if *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			cfg.Solver = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engName, Solver: cfg.Solver},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-				Tracer: tracer,
-			}
+	}
+	// solver builds one solver instance with, under -solver-budget, its
+	// own fallback chain. Shards cannot share solver state, so the sharded
+	// engine calls it once per shard; the tracer is nil there.
+	solver := func() core.Solver {
+		s := newSolver()
+		if *solverBudget == "" {
+			return s
 		}
+		return cli.Budgeted(*engName, s, budget, tracer)
+	}
+	if *shards == 1 {
+		cfg.Solver = solver()
 	}
 
 	plane := obs.NewPlane(obs.Options{
@@ -209,7 +146,7 @@ func main() {
 	})
 	srv, err := serve.New(serve.Config{
 		Engine: cfg,
-		Shard:  engine.ShardConfig{Shards: *shards, NewSolver: newSolver},
+		Shard:  engine.ShardConfig{Shards: *shards, NewSolver: solver},
 		Clock:  serve.NewWallClock(*speed),
 		Plane:  plane,
 	})
@@ -258,8 +195,8 @@ func main() {
 	fmt.Printf("makespan:         %.2f\n", res.MakeSpan)
 	fmt.Printf("deadline misses:  %d\n", res.DeadlineMisses)
 	if res.Telemetry != nil {
-		printReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
+		cli.PrintReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
+		cli.PrintReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
 		lat := res.Telemetry.Histograms["sim.solver_seconds"]
 		if lat.Count > 0 {
 			fmt.Printf("solver latency:   p50 %.1f µs, p95 %.1f µs, max %.1f µs (%d activations)\n",
@@ -280,58 +217,6 @@ func main() {
 	if res.DeadlineMisses > 0 {
 		fatalf("deadline misses detected: resource-manager invariant broken")
 	}
-}
-
-func parseBudget(s string) (core.Budget, error) {
-	if s == "" {
-		return core.Budget{}, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n <= 0 {
-			return core.Budget{}, fmt.Errorf("node budget %d must be positive", n)
-		}
-		return core.Budget{Nodes: n}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return core.Budget{}, fmt.Errorf("%q is neither a node count nor a duration", s)
-	}
-	if d <= 0 {
-		return core.Budget{}, fmt.Errorf("wall budget %v must be positive", d)
-	}
-	return core.Budget{Wall: d}, nil
-}
-
-// printReasonLine renders one decision-reason histogram from the counters
-// under prefix, sorted by reason; nothing is printed when empty.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fatalf(format string, args ...any) {

@@ -34,23 +34,17 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"predrm/cmd/internal/cli"
 	"predrm/internal/core"
-	"predrm/internal/exact"
 	"predrm/internal/faultinject"
 	"predrm/internal/gantt"
 	"predrm/internal/obs"
-	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
-	"predrm/internal/sched"
 	"predrm/internal/sim"
-	"predrm/internal/task"
 	"predrm/internal/telemetry"
 	"predrm/internal/trace"
 )
@@ -65,7 +59,6 @@ func main() {
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
 		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
 		batchWin  = flag.Float64("batch-window", 0, "collect arrivals for this many time units and admit each window as one batch epoch (0: the paper's one-by-one protocol)")
-		shardWork = flag.Int("shard-workers", 0, "concurrent shard solves per batch epoch (0: min(shards, GOMAXPROCS))")
 		usePred   = flag.Bool("predict", false, "enable the oracle predictor")
 		accuracy  = flag.Float64("accuracy", 1.0, "oracle task-type accuracy in [0,1]")
 		timeErr   = flag.Float64("time-error", 0, "oracle arrival-time normalized RMSE")
@@ -75,7 +68,6 @@ func main() {
 		group     = flag.String("group", "VT", "deadline group: VT or LT")
 		meanIA    = flag.Float64("interarrival", 3.0, "generated mean interarrival")
 		types     = flag.Int("types", 100, "task types")
-		workCons  = flag.Bool("work-conserving", false, "ignore predicted-task reservations between activations")
 		verbose   = flag.Bool("v", false, "print per-request outcomes")
 		showGantt = flag.Int("gantt", 0, "render the first N time units of the executed schedule")
 
@@ -95,10 +87,10 @@ func main() {
 	if *exactWork < 0 {
 		fatalf("-exact-workers %d must be non-negative", *exactWork)
 	}
-	if *engine != "milp" && flagWasSet("exact-workers") {
+	if *engine != "milp" && cli.FlagWasSet("exact-workers") {
 		fatalf("-exact-workers has no effect with -engine %s", *engine)
 	}
-	if *opsAddr == "" && flagWasSet("ops-linger") {
+	if *opsAddr == "" && cli.FlagWasSet("ops-linger") {
 		fatalf("-ops-linger has no effect without -ops-addr")
 	}
 	if *shards < 1 {
@@ -106,9 +98,6 @@ func main() {
 	}
 	if *batchWin < 0 {
 		fatalf("-batch-window %g must be non-negative", *batchWin)
-	}
-	if *shards == 1 && flagWasSet("shard-workers") {
-		fatalf("-shard-workers has no effect without -shards > 1")
 	}
 	if *shards > 1 {
 		// Multi-shard engines reject globally-stateful features (see
@@ -129,37 +118,23 @@ func main() {
 		}
 	}
 
-	root := rng.New(*seed)
-	var (
-		plat *platform.Platform
-		set  *task.Set
-		err  error
-	)
-	if *setPath != "" {
-		if *platSpec != "" {
-			fatalf("-platform has no effect with -taskset (the task set carries its platform)")
-		}
-		set, err = task.ReadFile(*setPath)
-		if err != nil {
-			fatalf("load task set: %v", err)
-		}
-		plat = set.Platform
-		root.Split() // keep the trace stream aligned with the generate path
-	} else {
-		plat = platform.Default()
-		if *platSpec != "" {
-			plat, err = platform.Parse(*platSpec)
-			if err != nil {
-				fatalf("platform: %v", err)
-			}
-		}
-		tcfg := task.DefaultGenConfig()
-		tcfg.NumTypes = *types
-		set, err = task.Generate(plat, tcfg, root.Split())
-		if err != nil {
-			fatalf("task set: %v", err)
-		}
+	newSolver, err := cli.SolverFactory(*engine, *exactWork, *warmStart)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	budget, err := cli.ParseBudget(*solverBudget)
+	if err != nil {
+		fatalf("solver-budget: %v", err)
+	}
+
+	// Loading the task set draws the generator's split too, so the trace
+	// stream below is the same either way.
+	root := rng.New(*seed)
+	set, err := cli.TaskSet(*setPath, *platSpec, *types, root)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	plat := set.Platform
 
 	var tr *trace.Trace
 	if *tracePath != "" {
@@ -187,45 +162,7 @@ func main() {
 	cfg := sim.Config{
 		Platform:        plat,
 		TaskSet:         set,
-		WorkConserving:  *workCons,
 		RecordExecution: *showGantt > 0,
-	}
-	// newSolver builds one solver instance; shards cannot share solver
-	// state, so the sharded runner calls it once per shard (each with its
-	// own warm cache and, under -solver-budget, its own fallback chain).
-	newSolver := func() core.Solver {
-		var warmCache *sched.FeasCache
-		if *warmStart && *engine != "milp" {
-			warmCache = sched.NewFeasCache(0)
-		}
-		var s core.Solver
-		switch *engine {
-		case "heuristic":
-			s = &core.Heuristic{Cache: warmCache}
-		case "greedy":
-			s = &core.Heuristic{Greedy: true, Cache: warmCache}
-		case "milp":
-			s = &exact.Optimal{Workers: *exactWork, WarmStart: *warmStart}
-		default:
-			fatalf("unknown engine %q", *engine)
-		}
-		if *shards > 1 && *solverBudget != "" {
-			budget, err := parseBudget(*solverBudget)
-			if err != nil {
-				fatalf("solver-budget: %v", err)
-			}
-			s = &core.BudgetedSolver{
-				Stages: []core.Stage{
-					{Name: *engine, Solver: s},
-					{Name: "heuristic", Solver: &core.Heuristic{}},
-				},
-				Budget: budget,
-			}
-		}
-		return s
-	}
-	if *shards == 1 {
-		cfg.Solver = newSolver()
 	}
 	if *usePred {
 		o, err := predict.NewOracle(tr, predict.OracleConfig{
@@ -272,34 +209,34 @@ func main() {
 		// renders the same registry on /metrics.
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	if resilient && *shards == 1 {
-		// With -shards > 1 the per-shard factory above owns the budget
-		// wiring (and -fault-plan was rejected at flag validation).
-		budget, err := parseBudget(*solverBudget)
+	var plan *faultinject.Plan
+	if *faultPlan != "" {
+		p, err := faultinject.ParsePlan(*faultPlan)
 		if err != nil {
-			fatalf("solver-budget: %v", err)
+			fatalf("fault-plan: %v", err)
 		}
-		primary := cfg.Solver
-		if *faultPlan != "" {
-			plan, err := faultinject.ParsePlan(*faultPlan)
-			if err != nil {
-				fatalf("fault-plan: %v", err)
-			}
-			p := &plan
-			primary = p.Solver(primary, tracer)
-			cfg.OverheadHook = p.Hook(tracer, cfg.Metrics)
-			if cfg.Predictor != nil {
-				cfg.Predictor = p.Predictor(cfg.Predictor, tracer, cfg.Metrics)
-			}
+		plan = &p
+		cfg.OverheadHook = plan.Hook(tracer, cfg.Metrics)
+		if cfg.Predictor != nil {
+			cfg.Predictor = plan.Predictor(cfg.Predictor, tracer, cfg.Metrics)
 		}
-		cfg.Solver = &core.BudgetedSolver{
-			Stages: []core.Stage{
-				{Name: *engine, Solver: primary},
-				{Name: "heuristic", Solver: &core.Heuristic{}},
-			},
-			Budget: budget,
-			Tracer: tracer,
+	}
+	// solver builds one solver instance with, under -solver-budget or
+	// -fault-plan, its own fallback chain. Shards cannot share solver
+	// state, so the sharded runner calls it once per shard; the tracer is
+	// nil there, as flag validation refuses tracing with -shards > 1.
+	solver := func() core.Solver {
+		s := newSolver()
+		if !resilient {
+			return s
 		}
+		if plan != nil {
+			s = plan.Solver(s, tracer)
+		}
+		return cli.Budgeted(*engine, s, budget, tracer)
+	}
+	if *shards == 1 {
+		cfg.Solver = solver()
 	}
 	var (
 		plane  *obs.Plane
@@ -332,8 +269,7 @@ func main() {
 		res, err = sim.RunSharded(cfg, sim.ShardConfig{
 			Shards:      *shards,
 			BatchWindow: *batchWin,
-			Workers:     *shardWork,
-			NewSolver:   newSolver,
+			NewSolver:   solver,
 		}, tr)
 	} else {
 		res, err = sim.Run(cfg, tr)
@@ -403,8 +339,8 @@ func main() {
 	fmt.Printf("makespan:         %.2f\n", res.MakeSpan)
 	fmt.Printf("deadline misses:  %d\n", res.DeadlineMisses)
 	if res.Telemetry != nil {
-		printReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
-		printReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
+		cli.PrintReasonLine("admit reasons:    ", res.Telemetry.Counters, "sim.admit_reason.")
+		cli.PrintReasonLine("reject reasons:   ", res.Telemetry.Counters, "sim.reject_reason.")
 	}
 	if res.Telemetry != nil {
 		lat := res.Telemetry.Histograms["sim.solver_seconds"]
@@ -494,7 +430,7 @@ func main() {
 func validateFlags(usePred bool, accuracy, timeErr, overhead float64, length, types int, meanIA float64, ganttLen int, group string) {
 	if !usePred {
 		for _, name := range []string{"accuracy", "time-error", "overhead"} {
-			if flagWasSet(name) {
+			if cli.FlagWasSet(name) {
 				fatalf("-%s has no effect without -predict", name)
 			}
 		}
@@ -520,62 +456,6 @@ func validateFlags(usePred bool, accuracy, timeErr, overhead float64, length, ty
 	default:
 		fatalf("unknown deadline group %q (want VT or LT)", group)
 	}
-}
-
-// parseBudget reads the -solver-budget syntax: an integer is a node
-// budget, a Go duration (5ms, 1s) a wall-clock budget. Empty means no
-// bound (the chain still absorbs errors).
-func parseBudget(s string) (core.Budget, error) {
-	if s == "" {
-		return core.Budget{}, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n <= 0 {
-			return core.Budget{}, fmt.Errorf("node budget %d must be positive", n)
-		}
-		return core.Budget{Nodes: n}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return core.Budget{}, fmt.Errorf("%q is neither a node count nor a duration", s)
-	}
-	if d <= 0 {
-		return core.Budget{}, fmt.Errorf("wall budget %v must be positive", d)
-	}
-	return core.Budget{Wall: d}, nil
-}
-
-// printReasonLine renders one decision-reason histogram ("plain 12,
-// prediction_dropped 3") from the counters under prefix, sorted by reason;
-// nothing is printed when the histogram is empty.
-func printReasonLine(label string, counters map[string]int64, prefix string) {
-	var reasons []string
-	for name := range counters {
-		if strings.HasPrefix(name, prefix) {
-			reasons = append(reasons, strings.TrimPrefix(name, prefix))
-		}
-	}
-	if len(reasons) == 0 {
-		return
-	}
-	sort.Strings(reasons)
-	parts := make([]string, len(reasons))
-	for i, r := range reasons {
-		parts[i] = fmt.Sprintf("%s %d", r, counters[prefix+r])
-	}
-	fmt.Printf("%s%s\n", label, strings.Join(parts, ", "))
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line (flag.Visit only walks flags that were set).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fatalf(format string, args ...any) {

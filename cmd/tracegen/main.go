@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"predrm/cmd/internal/cli"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
 	"predrm/internal/task"
@@ -50,7 +51,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print each decision in fire mode")
 	)
 	flag.Parse()
-	if *fireURL == "" && (*replay != "" || flagWasSet("fire-speed") || *verbose) {
+	if *fireURL == "" && (*replay != "" || cli.FlagWasSet("fire-speed") || *verbose) {
 		fatalf("-replay, -fire-speed and -v only apply with -fire")
 	}
 	if *fireSpeed <= 0 {
@@ -65,7 +66,7 @@ func main() {
 		return
 	}
 	if *rate != 0 {
-		if flagWasSet("interarrival") || flagWasSet("interarrival-std") {
+		if cli.FlagWasSet("interarrival") || cli.FlagWasSet("interarrival-std") {
 			fatalf("-rate and -interarrival/-interarrival-std are two spellings of the same knob; give one")
 		}
 		if *rate < 0 {
@@ -156,18 +157,6 @@ func validateFlags(count, length, types int, meanIA, stdIA float64) {
 	case stdIA < 0:
 		fatalf("-interarrival-std %g must be non-negative", stdIA)
 	}
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fatalf(format string, args ...any) {

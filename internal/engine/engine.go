@@ -22,11 +22,12 @@
 // makes a reservation on a non-preemptable resource effective — under
 // work-conserving execution the next queued job would grab the reserved
 // gap, get pinned, and block the real task when it arrives, silently
-// cancelling the benefit prediction is supposed to deliver. The
-// work-conserving alternative is available as Config.WorkConserving for
-// ablation. With no prediction the two coincide (the planned schedule is
-// the work-conserving EDF schedule), preserving the paper's "no preemption
-// between two activations" property.
+// cancelling the benefit prediction is supposed to deliver. Ablation A4
+// (EXPERIMENTS.md) measured greedy backfilling against the planned
+// schedule on VT and found no difference beyond seed noise, so the plan
+// is the one execution model. With no prediction the planned schedule is
+// the work-conserving EDF schedule, preserving the paper's "no
+// preemption between two activations" property.
 //
 // An Engine is not safe for concurrent use: Activate, AdvanceTo, Drain
 // and Finalize must be externally serialised, matching the Solver and
@@ -73,22 +74,13 @@ type Config struct {
 	Critical *critical.Set
 	// Policy selects migration charging (default ChargeStartedOnly).
 	Policy sched.MigrationPolicy
-	// ExtraOverhead is added to the predictor's own overhead as decision
-	// latency, in engine time.
-	ExtraOverhead float64
 	// OverheadHook, when non-nil, contributes additional per-request
 	// decision latency (engine time): it is called once per arrival
 	// with the request index and arrival time, and its result is added to
-	// ExtraOverhead and the predictor overhead. internal/faultinject uses
-	// it to inject latency spikes; it must be deterministic in (req,
-	// arrival) for reproducible runs and must not return a negative value.
+	// the predictor overhead. internal/faultinject uses it to inject
+	// latency spikes; it must be deterministic in (req, arrival) for
+	// reproducible runs and must not return a negative value.
 	OverheadHook func(req int, arrival float64) float64
-	// WorkConserving switches execution between activations from the
-	// planned schedule (default: reservations for the predicted task are
-	// honoured) to greedy EDF dispatch that backfills reserved gaps.
-	// Ablation A4 quantifies the difference; without prediction the modes
-	// are identical.
-	WorkConserving bool
 	// Audit re-verifies at every activation that the active jobs' current
 	// mappings are still EDF-feasible, reporting the first violation
 	// through the returned error. Meant for tests and debugging; the
@@ -180,8 +172,6 @@ func (c *Config) Validate() error {
 		return errors.New("engine: no task set")
 	case c.Solver == nil:
 		return errors.New("engine: no solver")
-	case c.ExtraOverhead < 0:
-		return errors.New("engine: negative overhead")
 	case c.Lookahead < 0:
 		return errors.New("engine: negative lookahead")
 	case c.Lookahead > 1 && c.Predictor == nil:
@@ -284,7 +274,6 @@ type instruments struct {
 	predictions, migrations          *telemetry.Counter
 	criticalReleases                 *telemetry.Counter
 	resvPlanned, resvHonoured        *telemetry.Counter
-	resvBackfilled                   *telemetry.Counter
 	solverSec, replanSec, advanceSec *telemetry.Histogram
 	activeJobs                       *telemetry.Histogram
 	activePeak                       *telemetry.Gauge
@@ -304,7 +293,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		criticalReleases: reg.Counter("sim.critical_releases"),
 		resvPlanned:      reg.Counter("sim.reservations_planned"),
 		resvHonoured:     reg.Counter("sim.reservations_honoured"),
-		resvBackfilled:   reg.Counter("sim.reservations_backfilled"),
 		solverSec:        reg.Histogram("sim.solver_seconds", telemetry.LatencyBuckets),
 		replanSec:        reg.Histogram("sim.replan_seconds", telemetry.LatencyBuckets),
 		advanceSec:       reg.Histogram("sim.advance_seconds", telemetry.LatencyBuckets),
@@ -323,7 +311,7 @@ type Engine struct {
 	active []*sched.Job
 	rec    []JobRecord
 	res    *Result
-	// plan holds the standing schedule per resource (plan-based mode).
+	// plan holds the standing schedule per resource.
 	plan [][]planSeg
 	// exec accumulates executed segments per resource (RecordExecution).
 	exec [][]ExecSegment
@@ -334,7 +322,7 @@ type Engine struct {
 	trc *telemetry.Tracer
 	ins instruments
 	// pendingResv holds the reservations installed by the last replan, so
-	// the next activation can report whether they were held (plan mode).
+	// the next activation can report whether they were held.
 	pendingResv []ghostRef
 	// running tracks, per resource, the job currently mid-execution there.
 	// It exists only to emit job_start/job_preempt/job_finish lifecycle
@@ -359,15 +347,13 @@ type Engine struct {
 	// costs no allocation beyond the jobs it creates (DESIGN.md §11):
 	// the job list and mapping decide and replan assemble, the problem
 	// handed to the solver and the scheduler, the replan's schedule
-	// scratch, the dispatch list of an execution step, the greedy
-	// per-resource heads and the state-probe resources. Nothing keeps
-	// them past the activation.
+	// scratch, the dispatch list of an execution step and the state-probe
+	// resources. Nothing keeps them past the activation.
 	jobs     []*sched.Job
 	mapping  []int
 	problem  sched.Problem
 	schedBuf sched.ScheduleScratch
 	acts     []execAction
-	heads    []*sched.Job
 	probeRes []ResourceSample
 	// ghostBufs alternate as reservation storage: pendingResv keeps the
 	// previous activation's ghosts until the next replan flushes them,
@@ -458,12 +444,12 @@ func (r *Engine) Activate(idx int, req trace.Request) (Outcome, error) {
 // prediction, replanning) dominates — a burst of k arrivals pays k
 // replans although only the last plan survives. An epoch amortises that:
 // the arrivals queue (executing nothing — they are not yet admitted), the
-// per-activation overhead (ExtraOverhead, predictor overhead,
-// OverheadHook) is charged once, and the decisions are taken sequentially
-// at the close. Earlier epoch admissions are active state for later
-// ones, so the decision sequence is the paper's protocol evaluated at a
-// single deferred decision time; only the final decision's reservation
-// plan is installed, and the standing schedule is rebuilt once per epoch
+// per-activation overhead (predictor overhead, OverheadHook) is charged
+// once, and the decisions are taken sequentially at the close. Earlier
+// epoch admissions are active state for later ones, so the decision
+// sequence is the paper's protocol evaluated at a single deferred
+// decision time; only the final decision's reservation plan is
+// installed, and the standing schedule is rebuilt once per epoch
 // (DESIGN.md §12.3 discusses how this differs from the paper's
 // semantics).
 func (r *Engine) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
@@ -526,7 +512,7 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 		}
 	}
 
-	overhead := r.cfg.ExtraOverhead
+	var overhead float64
 	if r.cfg.Predictor != nil {
 		overhead += r.cfg.Predictor.Overhead()
 	}
@@ -561,19 +547,12 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 	// superseded, as each one-by-one replan replaces the previous plan.
 	for _, g := range ghosts {
 		r.ins.resvPlanned.Inc()
-		if r.cfg.WorkConserving {
-			r.ins.resvBackfilled.Inc()
-		}
 		if r.trc != nil {
 			e := telemetry.NewEvent(r.now, telemetry.EvReservationPlanned)
 			e.Req = startIdx + last
 			e.Res = g.res
 			e.Value = g.job.Arrival
 			r.trc.Emit(e)
-			if r.cfg.WorkConserving {
-				e.Type = telemetry.EvReservationBackfilled
-				r.trc.Emit(e)
-			}
 		}
 	}
 	// A rejection installs no reservation but still drops the stale one

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"predrm/internal/core"
-	"predrm/internal/platform"
 	"predrm/internal/sched"
 	"predrm/internal/telemetry"
 )
@@ -234,40 +233,13 @@ func (r *Engine) HasAdaptiveWork() bool {
 // times regardless of when the driver observes them.
 func (r *Engine) NextWake() (float64, bool) {
 	best := math.Inf(1)
-	if r.cfg.WorkConserving {
-		for _, j := range r.active {
-			if j.Done() || j.Resource == sched.Unmapped {
-				continue
-			}
-			need := j.MigDebt + j.Frac*j.Type.WCET[j.Resource]
-			if t := r.now + need; t < best {
-				best = t
-			}
+	for res := range r.plan {
+		job, run, until := r.planStep(res)
+		if job != nil {
+			until = r.now + run
 		}
-	} else {
-		for res, segs := range r.plan {
-			for _, s := range segs {
-				if s.end <= r.now+sched.Eps {
-					continue // past
-				}
-				if s.job != nil && s.job.Done() {
-					continue // completed (slightly early by rounding)
-				}
-				var cand float64
-				switch {
-				case s.start > r.now+sched.Eps:
-					cand = s.start // idle until the next segment starts
-				case s.job == nil:
-					cand = s.end // reservation: idle through it
-				default:
-					need := s.job.MigDebt + s.job.Frac*s.job.Type.WCET[res]
-					cand = r.now + math.Min(need, s.end-r.now)
-				}
-				if cand < best {
-					best = cand
-				}
-				break
-			}
+		if until < best {
+			best = until
 		}
 	}
 	if rel, ok := r.nextCriticalReleaseIfAny(); ok && rel < best {
@@ -277,6 +249,33 @@ func (r *Engine) NextWake() (float64, bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// planStep is what resource res does now under the standing plan, the one
+// walk NextWake and advance share. Its first live segment (not past, its
+// job not completed) either runs job for up to run time units, bounded by
+// the job's remaining work and the segment's end, or, with job nil, holds
+// the resource idle until the absolute time until: the segment's start,
+// or the end of a reservation for the predicted task. A resource with no
+// live segment reports job nil and until +Inf.
+func (r *Engine) planStep(res int) (job *sched.Job, run, until float64) {
+	for _, s := range r.plan[res] {
+		if s.end <= r.now+sched.Eps || (s.job != nil && s.job.Done()) {
+			continue // past, or completed slightly early by rounding
+		}
+		switch {
+		case s.start > r.now+sched.Eps:
+			return nil, 0, s.start
+		case s.job == nil:
+			return nil, 0, s.end
+		}
+		run = s.end - r.now
+		if need := s.job.MigDebt + s.job.Frac*s.job.Type.WCET[res]; need < run {
+			run = need
+		}
+		return s.job, run, 0
+	}
+	return nil, 0, math.Inf(1)
 }
 
 // materializeCritical activates every critical job releasing at time rel.
@@ -384,9 +383,6 @@ type ghostRef struct {
 // feasible schedule means the RM's invariant broke; it is surfaced as an
 // error.
 func (r *Engine) replan(ghosts []ghostRef) error {
-	if r.cfg.WorkConserving {
-		return nil // greedy dispatch reads job state directly
-	}
 	defer telemetry.StartTimer(r.ins.replanSec).Stop()
 	// The previous activation's reservations end here; report their fate.
 	r.flushReservations()
@@ -424,13 +420,12 @@ func (r *Engine) replan(ghosts []ghostRef) error {
 	return nil
 }
 
-// advance executes the standing schedule up to time target.
+// advance executes the standing schedule up to time target. Each step
+// runs every resource's planned job until the first completion, segment
+// boundary or target; every action serves its job, then the clock moves
+// and finished jobs retire.
 func (r *Engine) advance(target float64) {
 	defer telemetry.StartTimer(r.ins.advanceSec).Stop()
-	if r.cfg.WorkConserving {
-		r.advanceGreedy(target)
-		return
-	}
 	for r.now < target-sched.Eps {
 		if len(r.active) == 0 {
 			break // reap keeps only unfinished jobs
@@ -440,130 +435,38 @@ func (r *Engine) advance(target float64) {
 		if !math.IsInf(target, 1) {
 			step = target - r.now
 		}
-		for res, segs := range r.plan {
-			for _, s := range segs {
-				if s.end <= r.now+sched.Eps {
-					continue // past
+		for res := range r.plan {
+			job, run, until := r.planStep(res)
+			if job == nil {
+				if d := until - r.now; d < step {
+					step = d
 				}
-				if s.job != nil && s.job.Done() {
-					continue // completed (slightly early by rounding)
-				}
-				if s.start > r.now+sched.Eps {
-					// Idle until the next segment starts.
-					if d := s.start - r.now; d < step {
-						step = d
-					}
-					break
-				}
-				if s.job == nil {
-					// Inside a ghost reservation: idle through it.
-					if d := s.end - r.now; d < step {
-						step = d
-					}
-					break
-				}
-				need := s.job.MigDebt + s.job.Frac*s.job.Type.WCET[res]
-				bound := math.Min(need, s.end-r.now)
-				if bound < step {
-					step = bound
-				}
-				acts = append(acts, execAction{res, s.job})
-				break
+				continue
 			}
+			if run < step {
+				step = run
+			}
+			acts = append(acts, execAction{res, job})
 		}
 		r.acts = acts
 		if len(acts) == 0 && math.IsInf(step, 1) {
 			break // no runnable segment and no upcoming boundary
 		}
-		r.dispatch(acts, step)
+		if step <= 0 {
+			step = sched.Eps
+		}
+		if r.running != nil {
+			r.notePauses(acts)
+		}
+		for _, a := range acts {
+			r.execute(a.job, a.res, step)
+		}
+		r.now += step
+		r.reap()
 	}
 	if !math.IsInf(target, 1) && target > r.now {
 		r.now = target
 	}
-}
-
-// advanceGreedy executes work-conserving EDF dispatch up to target
-// (Config.WorkConserving).
-func (r *Engine) advanceGreedy(target float64) {
-	if r.heads == nil {
-		r.heads = make([]*sched.Job, r.cfg.Platform.Len())
-	}
-	for r.now < target-sched.Eps {
-		// Pick each resource's EDF head.
-		clear(r.heads)
-		for _, j := range r.active {
-			if j.Done() || j.Resource == sched.Unmapped {
-				continue
-			}
-			if cur := r.heads[j.Resource]; cur != nil {
-				j = preferHead(r.cfg.Platform, cur, j)
-			}
-			r.heads[j.Resource] = j
-		}
-		// Next event: earliest head completion, capped at target. Heads
-		// dispatch in resource order so trace emission is deterministic.
-		step := target - r.now
-		acts := r.acts[:0]
-		for res, j := range r.heads {
-			if j == nil {
-				continue
-			}
-			if need := j.MigDebt + j.Frac*j.Type.WCET[res]; need < step {
-				step = need
-			}
-			acts = append(acts, execAction{res, j})
-		}
-		r.acts = acts
-		if len(acts) == 0 {
-			break // idle until target
-		}
-		r.dispatch(acts, step)
-	}
-	if !math.IsInf(target, 1) && target > r.now {
-		r.now = target
-	}
-}
-
-// dispatch runs one execution step of length step (at least Eps): every
-// action serves its job, then the clock moves and finished jobs retire.
-func (r *Engine) dispatch(acts []execAction, step float64) {
-	if step <= 0 {
-		step = sched.Eps
-	}
-	if r.running != nil {
-		r.notePauses(acts)
-	}
-	for _, a := range acts {
-		r.execute(a.job, a.res, step)
-	}
-	r.now += step
-	r.reap()
-}
-
-// preferHead picks which of two jobs on the same resource runs now: the
-// mid-execution occupant on non-preemptable resources, otherwise the
-// earlier deadline (ties: lower ID, deterministic).
-func preferHead(p *platform.Platform, a, b *sched.Job) *sched.Job {
-	if !p.Resource(a.Resource).Preemptable() {
-		ao := a.ExecRes == a.Resource
-		bo := b.ExecRes == b.Resource
-		if ao != bo {
-			if ao {
-				return a
-			}
-			return b
-		}
-	}
-	if a.AbsDeadline != b.AbsDeadline {
-		if a.AbsDeadline < b.AbsDeadline {
-			return a
-		}
-		return b
-	}
-	if a.ID <= b.ID {
-		return a
-	}
-	return b
 }
 
 // execute serves dt time of job j on resource res: migration debt first,

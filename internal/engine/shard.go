@@ -41,9 +41,6 @@ type ShardConfig struct {
 	// The engine itself does not window — the field rides here so one
 	// config names the whole scale-out setup (sim.RunSharded reads it).
 	BatchWindow float64
-	// Workers bounds how many shard solves run concurrently during an
-	// epoch; 0 means min(Shards, GOMAXPROCS).
-	Workers int
 	// NewSolver builds one solver per shard — engines are not safe for
 	// concurrent use and neither are solvers, so shards cannot share
 	// cfg.Solver. Required when Shards > 1.
@@ -158,13 +155,8 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 		}
 		s.elig[t] = row
 	}
-	s.workers = sc.Workers
-	if s.workers <= 0 {
-		s.workers = len(s.shards)
-		if p := runtime.GOMAXPROCS(0); p < s.workers {
-			s.workers = p
-		}
-	}
+	// At most min(shards, GOMAXPROCS) shard solves run at once.
+	s.workers = min(len(s.shards), runtime.GOMAXPROCS(0))
 	return s, nil
 }
 
@@ -211,7 +203,8 @@ func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 }
 
 // ActivateEpoch routes a batch of arrivals across the shards and runs
-// the per-shard epochs concurrently (bounded by ShardConfig.Workers).
+// the per-shard epochs concurrently, at most min(shards, GOMAXPROCS) at
+// a time.
 // Shards are independent — separate platforms, task sets, solvers and
 // plans — so concurrent solving is deterministic; outcomes are returned
 // in global request order.

@@ -309,7 +309,6 @@ func TestConfigValidation(t *testing.T) {
 		{},
 		{Platform: platform.Default()},
 		{Platform: platform.Default(), TaskSet: set},
-		{Platform: platform.Default(), TaskSet: set, Solver: &core.Heuristic{}, ExtraOverhead: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, tr); err == nil {

@@ -63,12 +63,8 @@ const (
 	// predicted arrival.
 	EvReservationPlanned EventType = "reservation_planned"
 	// EvReservationHonoured: a standing reservation on resource Res was
-	// held idle until the next activation (plan-based execution).
+	// held idle until the next activation.
 	EvReservationHonoured EventType = "reservation_honoured"
-	// EvReservationBackfilled: a reservation on resource Res was planned
-	// under work-conserving execution, which backfills reserved gaps
-	// instead of honouring them (ablation A4).
-	EvReservationBackfilled EventType = "reservation_backfilled"
 	// EvJobStart: the job of request Req (negative for a critical release)
 	// began or resumed executing on resource Res. Reason is "start" for the
 	// first dispatch and "resume" afterwards; Value is the remaining work
@@ -114,7 +110,7 @@ func KnownEventTypes() []EventType {
 	return []EventType{
 		EvArrival, EvPrediction, EvSolverInvoked, EvSolverReturned,
 		EvAdmit, EvReject, EvMigration, EvCriticalRelease,
-		EvReservationPlanned, EvReservationHonoured, EvReservationBackfilled,
+		EvReservationPlanned, EvReservationHonoured,
 		EvJobStart, EvJobPreempt, EvJobFinish,
 		EvSolverFallback, EvFaultInjected, EvDecision,
 	}

@@ -21,8 +21,7 @@ const (
 	// VGPUPreempted: a job stopped executing on a non-preemptable
 	// resource before completing.
 	VGPUPreempted
-	// VReservationDropped: a reservation planned under plan-based
-	// execution was neither honoured nor explicitly backfilled although
+	// VReservationDropped: a planned reservation was not honoured although
 	// its window began before the next activation replaced it.
 	VReservationDropped
 	// VRejectedExecuted: a rejected request appeared on a resource.
@@ -96,7 +95,7 @@ type AuditOptions struct {
 // Audit replays a decoded trace against the resource manager's invariants
 // and returns every violation found: admitted requests complete before
 // their deadlines, non-preemptable resources are never preempted, planned
-// reservations are honoured or explicitly backfilled, and rejected
+// reservations are honoured, and rejected
 // requests never execute. A clean trace returns nil. Ring drops
 // (d.Dropped > 0) soften the absence checks — a missing event is then
 // indistinguishable from a dropped one — but never the positive checks.
@@ -165,11 +164,11 @@ func Audit(d *Decoded, opts AuditOptions) []Violation {
 	return vs
 }
 
-// auditReservations checks that every planned reservation was honoured or
-// explicitly backfilled. A reservation is installed at an activation and
-// replaced at the next one (admission, rejection, or critical release —
-// each triggers a replan that reports the fate of the standing batch); it
-// only owes an outcome when its window began before that boundary.
+// auditReservations checks that every planned reservation was honoured. A
+// reservation is installed at an activation and replaced at the next one
+// (admission, rejection, or critical release — each triggers a replan
+// that reports the fate of the standing batch); it only owes an outcome
+// when its window began before that boundary.
 func auditReservations(d *Decoded) []Violation {
 	var vs []Violation
 	for i, e := range d.Events {
@@ -179,8 +178,7 @@ func auditReservations(d *Decoded) []Violation {
 		arrival := e.Value
 		resolved := false
 		for _, f := range d.Events[i+1:] {
-			if (f.Type == telemetry.EvReservationHonoured || f.Type == telemetry.EvReservationBackfilled) &&
-				f.Res == e.Res && math.Abs(f.Value-arrival) <= timeEps {
+			if f.Type == telemetry.EvReservationHonoured && f.Res == e.Res && math.Abs(f.Value-arrival) <= timeEps {
 				resolved = true
 				break
 			}
@@ -200,7 +198,7 @@ func auditReservations(d *Decoded) []Violation {
 		}
 		if flushT+timeEps >= arrival {
 			vs = append(vs, Violation{Kind: VReservationDropped, Req: e.Req, Res: e.Res, T: e.T,
-				Detail: fmt.Sprintf("reservation for predicted arrival %.6f neither honoured nor backfilled by the next activation (t=%.6f)",
+				Detail: fmt.Sprintf("reservation for predicted arrival %.6f not honoured by the next activation (t=%.6f)",
 					arrival, flushT)})
 		}
 	}

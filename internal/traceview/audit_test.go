@@ -1,6 +1,7 @@
 package traceview
 
 import (
+	"strings"
 	"testing"
 
 	"predrm/internal/platform"
@@ -203,5 +204,46 @@ func TestAuditRingDropSoftensAbsence(t *testing.T) {
 	census := kindCensus(Audit(d, auditOpts()))
 	if census[VMissingCompletion] != 0 {
 		t.Fatalf("absence check fired despite ring drops: %v", census)
+	}
+}
+
+// TestAuditReservationDropped replays synthetic streams in which a
+// reservation for a predicted arrival at t=3 is planned at t=0. It owes a
+// reservation_honoured event when the next activation comes after the
+// predicted arrival, and nothing when it comes before.
+func TestAuditReservationDropped(t *testing.T) {
+	planned := []string{
+		`{"seq":0,"t":0,"type":"arrival","req":0,"task":1,"res":-1,"value":10}`,
+		`{"seq":1,"t":0,"type":"admit","req":0,"task":1,"res":0}`,
+		`{"seq":2,"t":0,"type":"reservation_planned","req":0,"task":-1,"res":5,"value":3}`,
+	}
+	boundary := func(at string) []string {
+		return []string{
+			`{"seq":3,"t":` + at + `,"type":"arrival","req":1,"task":2,"res":-1,"value":20}`,
+			`{"seq":4,"t":` + at + `,"type":"reject","req":1,"task":2,"res":-1}`,
+		}
+	}
+	honoured := `{"seq":5,"t":4,"type":"reservation_honoured","req":-1,"task":-1,"res":5,"value":3}`
+	for _, c := range []struct {
+		name   string
+		lines  []string
+		broken int
+	}{
+		{"boundary after arrival, not honoured", boundary("4"), 1},
+		{"boundary after arrival, honoured", append(boundary("4"), honoured), 0},
+		{"boundary before arrival", boundary("2"), 0},
+	} {
+		stream := strings.Join(append(append([]string{}, planned...), c.lines...), "\n") + "\n"
+		d, err := Read(strings.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Diags) != 0 {
+			t.Fatalf("%s: reader diagnostics %v", c.name, d.Diags)
+		}
+		vs := Audit(d, auditOpts())
+		if got := kindCensus(vs)[VReservationDropped]; got != c.broken || len(vs) != c.broken {
+			t.Errorf("%s: %d %v of %d violations %v, want %d", c.name, got, VReservationDropped, len(vs), vs, c.broken)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type Summary struct {
 	// (critical consumption is reported separately, as in sim.Result).
 	ExecEnergy, MigrationEnergy, CriticalEnergy, TotalEnergy float64
 	Migrations                                               int
-	ResvPlanned, ResvHonoured, ResvBackfilled                int
+	ResvPlanned, ResvHonoured                                int
 	DeadlineMisses                                           int
 	// MakeSpan is the last adaptive completion time.
 	MakeSpan float64
@@ -43,7 +43,6 @@ func (tl *Timeline) Summarize() Summary {
 		TotalEnergy:     tl.ExecEnergy + tl.MigrationEnergy,
 		ResvPlanned:     tl.ResvPlanned,
 		ResvHonoured:    tl.ResvHonoured,
-		ResvBackfilled:  tl.ResvBackfilled,
 		InFlightPeak:    tl.InFlightPeak(),
 	}
 	s.AdmitReasons = make(map[string]int)
@@ -114,7 +113,6 @@ func WriteDiff(w io.Writer, labelA string, a Summary, labelB string, b Summary) 
 		{"migrations", float64(a.Migrations), float64(b.Migrations), "", true},
 		{"resv planned", float64(a.ResvPlanned), float64(b.ResvPlanned), "", true},
 		{"resv honoured", float64(a.ResvHonoured), float64(b.ResvHonoured), "", true},
-		{"resv backfilled", float64(a.ResvBackfilled), float64(b.ResvBackfilled), "", true},
 		{"deadline misses", float64(a.DeadlineMisses), float64(b.DeadlineMisses), "", true},
 		{"makespan", a.MakeSpan, b.MakeSpan, "", false},
 		{"mean utilization", 100 * a.MeanUtilization, 100 * b.MeanUtilization, "%", false},

@@ -133,23 +133,27 @@ func TestReadDiagnostics(t *testing.T) {
 		`{"seq":1,"t":2,"type":"wormhole","req":-1,"task":-1,"res":-1}`,
 		`{"seq":1,"t":2,"type":"admit","req":0,"task":1,"res":0}`,
 		`{"seq":2,"t":1.5,"type":"job_start","req":0,"task":1,"res":0}`,
+		// An event type older traces carry that the schema no longer has.
+		`{"seq":3,"t":2,"type":"reservation_backfilled","req":0,"task":-1,"res":5,"value":3}`,
 	}, "\n") + "\n"
 	d, err := Read(strings.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Events) != 4 { // the malformed line is skipped, the rest kept
-		t.Fatalf("got %d events, want 4", len(d.Events))
+	if len(d.Events) != 5 { // the malformed line is skipped, the rest kept
+		t.Fatalf("got %d events, want 5", len(d.Events))
 	}
 	kinds := make(map[DiagKind]int)
 	for _, diag := range d.Diags {
 		kinds[diag.Kind]++
 	}
-	for _, want := range []DiagKind{
-		DiagMalformedLine, DiagUnknownEventType, DiagSequenceRegression, DiagTimeRegression,
+	for want, n := range map[DiagKind]int{
+		DiagMalformedLine: 1, DiagUnknownEventType: 2, DiagSequenceRegression: 1, DiagTimeRegression: 1,
 	} {
-		if kinds[want] != 1 {
-			t.Errorf("want exactly one %v, got %d (all: %v)", want, kinds[want], d.Diags)
+		if kinds[want] != n {
+			t.Errorf("want exactly %d %v, got %d (all: %v)", n, want, kinds[want], d.Diags)
 		}
 	}
+	// The timeline and the auditor skip unknown types without panicking.
+	Audit(d, auditOpts())
 }

@@ -24,8 +24,7 @@ func WriteReport(w io.Writer, tl *Timeline, plat *platform.Platform, ganttCols i
 		sum.Requests, sum.Admitted, sum.Rejected, sum.RejectionPct)
 	p("energy:            %.2f J total = %.2f exec + %.2f migration (%d migrations); critical %.2f J",
 		sum.TotalEnergy, sum.ExecEnergy, sum.MigrationEnergy, sum.Migrations, sum.CriticalEnergy)
-	p("reservations:      %d planned, %d honoured, %d backfilled",
-		sum.ResvPlanned, sum.ResvHonoured, sum.ResvBackfilled)
+	p("reservations:      %d planned, %d honoured", sum.ResvPlanned, sum.ResvHonoured)
 	if tl.CriticalReleases > 0 || tl.CriticalFinishes > 0 {
 		p("critical:          %d releases, %d completions", tl.CriticalReleases, tl.CriticalFinishes)
 	}

@@ -103,8 +103,8 @@ type Timeline struct {
 	// charged migrations, and critical releases.
 	ExecEnergy, MigrationEnergy, CriticalEnergy float64
 	// Reservation and critical counters.
-	ResvPlanned, ResvHonoured, ResvBackfilled int
-	CriticalReleases                          int
+	ResvPlanned, ResvHonoured int
+	CriticalReleases          int
 	// CriticalFinishes counts job_finish events of critical releases.
 	CriticalFinishes int
 	// Dropped and Diags carry the reader's findings into downstream
@@ -119,7 +119,7 @@ type openExec struct {
 	start     float64
 }
 
-// resvKey identifies a planned reservation: honoured/backfilled events
+// resvKey identifies a planned reservation: honoured events
 // carry the same resource and predicted arrival as the planning event (the
 // flush for batch N is emitted after batch N+1 is planned, so resource
 // alone is ambiguous).
@@ -202,9 +202,6 @@ func BuildTimeline(d *Decoded) *Timeline {
 					Start: start, End: e.T,
 				})
 			}
-		case telemetry.EvReservationBackfilled:
-			tl.ResvBackfilled++
-			delete(resv, resvKey{e.Res, e.Value})
 		case telemetry.EvJobStart:
 			// Defensive: close anything the emitter forgot to close.
 			for res, oe := range open {
