@@ -38,17 +38,21 @@ race:
 	$(GO) test -race ./...
 
 # allocs runs the allocation-budget tests (files tagged !race, since the
-# race detector allocates on its own): a steady-state activation, a
-# sharded epoch, Problem.Schedule with a warm scratch and the exact
-# solver's ordering.
+# race detector allocates on its own): a steady-state activation, the
+# admission fallback at a saturated load, a sharded epoch,
+# Problem.Schedule with a warm scratch, the exact solver's ordering and
+# the heuristic arena's geometric growth.
 allocs:
-	$(GO) test -run 'AllocBudget' ./internal/sched ./internal/exact ./internal/engine
+	$(GO) test -run 'AllocBudget' ./internal/sched ./internal/exact ./internal/engine ./internal/core
 
 # fuzz explores random platforms of 1-80 resources (both candidate sources
 # of the heuristic) beyond the committed seed corpus, asserting Solve
-# matches the seed implementation with and without provenance and cache.
+# matches the seed implementation with and without provenance and cache,
+# then random jobs, types and migration policies, asserting the per-job
+# cost terms the heuristic hoists equal Job.CPM/EPM bit for bit.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzJobTermsMatchCPM$$' -fuzztime=10s
 
 # bench runs every benchmark and also writes a machine-readable summary
 # (ns/op, B/op, allocs/op per benchmark) for regression tracking.

@@ -284,6 +284,17 @@ func arrivingID(p *sched.Problem) int {
 	return id
 }
 
+// AdmitScratch holds the reusable buffers of the admission protocol's
+// fallback (Sec 4.3): the sub-problem predicted jobs are dropped from and
+// the full-length mapping a sub-problem decision is lifted onto. The zero
+// value is ready to use; a warm scratch makes the fallback
+// allocation-free apart from what the solver allocates. Not safe for
+// concurrent use.
+type AdmitScratch struct {
+	sub  sched.Problem
+	full []int
+}
+
 // AdmitProv is the Sec 4.1 admission protocol for solvers that can fail
 // (FallibleSolver), with decision-provenance recording. Any Solve failure
 // aborts the protocol and is returned to the caller, with no decision
@@ -293,7 +304,14 @@ func arrivingID(p *sched.Problem) int {
 // rec before its solve and closed with the solve's outcome, so candidate
 // verdicts and chain hops recorded by the solver are stamped with the
 // attempt that produced them. A nil rec records nothing.
-func AdmitProv(s Solver, p *sched.Problem, rec *telemetry.ProvRecorder) (d Decision, admitted bool, err error) {
+//
+// sc hosts the fallback's sub-problem and lifted mapping; the returned
+// Decision.Mapping may alias it and is valid until the next call with the
+// same sc. A nil sc uses fresh buffers.
+func AdmitProv(s Solver, p *sched.Problem, rec *telemetry.ProvRecorder, sc *AdmitScratch) (d Decision, admitted bool, err error) {
+	if sc == nil {
+		sc = new(AdmitScratch)
+	}
 	fs, fallible := s.(FallibleSolver)
 	cur := p
 	for {
@@ -309,7 +327,10 @@ func AdmitProv(s Solver, p *sched.Problem, rec *telemetry.ProvRecorder) (d Decis
 		}
 		rec.EndAttempt(d.Feasible, d.Energy)
 		if d.Feasible {
-			return inflate(p, cur, d), true, nil
+			if cur == p {
+				return d, true, nil
+			}
+			return sc.lift(p.Jobs, cur.Jobs, d), true, nil
 		}
 		// Drop the latest-arriving predicted job, if any remain.
 		drop := -1
@@ -319,10 +340,43 @@ func AdmitProv(s Solver, p *sched.Problem, rec *telemetry.ProvRecorder) (d Decis
 			}
 		}
 		if drop == -1 {
-			return rejectAll(p), false, nil
+			return sc.lift(p.Jobs, nil, Decision{}), false, nil
 		}
-		cur = cur.Without(drop)
+		cur = sc.without(cur, drop)
 	}
+}
+
+// without returns cur with Jobs[drop] removed, built in the scratch
+// sub-problem: copied from the caller's problem on the first drop, edited
+// in place on later ones. Jobs are shared, not cloned.
+func (sc *AdmitScratch) without(cur *sched.Problem, drop int) *sched.Problem {
+	q := &sc.sub
+	if cur != q {
+		jobs := q.Jobs[:0]
+		*q = *cur
+		q.Jobs = append(jobs, cur.Jobs...)
+	}
+	q.Jobs = append(q.Jobs[:drop], q.Jobs[drop+1:]...)
+	return q
+}
+
+// lift maps decision d over the job subsequence sub onto the job list all
+// in the scratch mapping with one two-pointer walk; the jobs sub lacks
+// become Unmapped (every job for an empty sub: the rejection).
+func (sc *AdmitScratch) lift(all, sub []*sched.Job, d Decision) Decision {
+	full := sc.full[:0]
+	k := 0
+	for _, j := range all {
+		r := sched.Unmapped
+		if k < len(sub) && sub[k] == j {
+			r = d.Mapping[k]
+			k++
+		}
+		full = append(full, r)
+	}
+	sc.full = full
+	d.Mapping = full
+	return d
 }
 
 // countPredicted counts the predicted planning jobs in jobs.

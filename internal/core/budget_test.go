@@ -217,7 +217,7 @@ func TestBudgetedSolverEmptyChain(t *testing.T) {
 // TestAdmitCheckedPropagatesError: the checked protocol (AdmitProv)
 // returns a FallibleSolver's error instead of deciding.
 func TestAdmitCheckedPropagatesError(t *testing.T) {
-	_, admitted, err := AdmitProv(&errStub{}, testProblem(), nil)
+	_, admitted, err := AdmitProv(&errStub{}, testProblem(), nil, nil)
 	if err == nil {
 		t.Fatal("error not propagated")
 	}

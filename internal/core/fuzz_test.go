@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -67,6 +68,63 @@ func FuzzHeuristicMatchesReference(f *testing.F) {
 					t.Fatalf("trial %d on %s: unplaced job %d has chosen verdicts %v",
 						trial, plat.Spec(), j.ID, got)
 				}
+			}
+		}
+	})
+}
+
+// FuzzJobTermsMatchCPM pins the cost terms place hoists once per solve
+// (jobTerms) to the Job methods both candidate sources used to call per
+// (job, resource) pair: executable agrees with Type.ExecutableOn on every
+// resource id, in range or not, and on every executable resource cpm and
+// epm equal Job.CPM and Job.EPM bit for bit — for any remaining fraction,
+// migration debt and start state, any current resource (Unmapped
+// included), under both migration policies.
+func FuzzJobTermsMatchCPM(f *testing.F) {
+	f.Add(uint64(1), 1.0, 0.0, false, int8(0), false)
+	f.Add(uint64(7), 0.37, 0.25, true, int8(3), false)
+	f.Add(uint64(9), 0.5, 1.5, false, int8(1), true)
+	f.Add(uint64(4), 0.0, 0.8, true, int8(-2), true)
+	f.Fuzz(func(t *testing.T, seed uint64, frac, debt float64, started bool, res int8, always bool) {
+		r := rng.New(seed)
+		n := 1 + int(seed%9)
+		ty := &task.Type{
+			WCET:      make([]float64, n),
+			Energy:    make([]float64, n),
+			MigTime:   r.Uniform(0, 3),
+			MigEnergy: r.Uniform(0, 3),
+		}
+		for i := range n {
+			ty.WCET[i], ty.Energy[i] = task.NotExecutable, task.NotExecutable
+			if r.Float64() < 0.75 {
+				ty.WCET[i], ty.Energy[i] = r.Uniform(0.1, 20), r.Uniform(0.1, 30)
+			}
+		}
+		j := sched.NewJob(1, ty, r.Uniform(0, 50), r.Uniform(1, 100))
+		j.Frac, j.MigDebt, j.Started = frac, debt, started
+		j.Resource = int(uint8(res))%(n+1) - 1 // Unmapped .. n-1
+		pol := sched.ChargeStartedOnly
+		if always {
+			pol = sched.ChargeAlways
+		}
+		now := r.Uniform(0, 60)
+
+		jt := newJobTerms(j, now, pol)
+		if math.Float64bits(jt.tl) != math.Float64bits(j.TimeLeft(now)) {
+			t.Fatalf("t_left %v, Job.TimeLeft %v", jt.tl, j.TimeLeft(now))
+		}
+		for q := -1; q <= n; q++ {
+			if got, want := jt.executable(q), ty.ExecutableOn(q); got != want {
+				t.Fatalf("resource %d: executable %v, ExecutableOn %v", q, got, want)
+			}
+			if !ty.ExecutableOn(q) {
+				continue
+			}
+			if got, want := jt.cpm(q), j.CPM(q, pol); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("resource %d (job on %d, %v): cpm %v, Job.CPM %v", q, j.Resource, pol, got, want)
+			}
+			if got, want := jt.epm(q), j.EPM(q, pol); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("resource %d (job on %d, %v): epm %v, Job.EPM %v", q, j.Resource, pol, got, want)
 			}
 		}
 	})

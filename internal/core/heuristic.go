@@ -62,13 +62,16 @@ type Heuristic struct {
 	// schedulability machinery is unchanged.
 	Greedy bool
 
-	// Cache, when non-nil, routes the placement EDF probes through a
-	// cross-activation feasibility cache (sched.FeasCache) keyed by the
-	// PR 5 entry-list fingerprints. A cached verdict is by construction
-	// the verdict the probe would have computed, so decisions are
-	// unchanged — this is the heuristic's warm start: consecutive
-	// activations answer most probes from each other's work. Nil (the
-	// zero value) keeps the probes direct and pays nothing.
+	// Cache, when non-nil, fronts the placement probes that run the EDF
+	// simulation — a resource list holding a predicted or future release
+	// — with a cross-activation feasibility cache (sched.FeasCache) keyed
+	// by the entry-list fingerprints. Lists without a future release are
+	// answered by the cumulative scan, which is cheaper than a table
+	// lookup, and never reach the cache (sched.EntryList.Feasible); on a
+	// platform without prediction the cache therefore sees no probes. A
+	// cached verdict is by construction the verdict the probe would have
+	// computed, so decisions are unchanged. Nil (the zero value) keeps
+	// every probe direct and skips the fingerprint upkeep.
 	Cache *sched.FeasCache
 
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
@@ -88,21 +91,24 @@ type Heuristic struct {
 	p *sched.Problem
 	n int // p.Platform.Len()
 
-	// Scratch arena. cpm and des flatten the matrix source's [job][resource]
-	// matrices as job*n+r; cand holds every job's regret inputs.
+	// Scratch arena, grown geometrically and never shrunk. cpm and des
+	// flatten the matrix source's [job][resource] matrices as job*n+r;
+	// terms holds every free job's hoisted cost terms and cand its regret
+	// inputs.
 	mapping    []int
 	capacity   []float64
 	lists      []sched.EntryList
-	edf        sched.EDFScratch
 	cpm        []float64
 	des        []float64
+	terms      []jobTerms
 	cand       []candSummary
 	unassigned []int
 
-	// delta is the Repair scratch; hitsDelta/missDelta batch the cache
-	// probe statistics per solve (flushed into Cache and the instruments).
-	delta                sched.MappingDelta
-	hitsDelta, missDelta int64
+	// pr is the EDF probe context: scratch, Cache and the per-solve batched
+	// hit/miss counts (flushed into Cache and the instruments). delta is
+	// the Repair scratch.
+	pr    sched.Probe
+	delta sched.MappingDelta
 
 	// Index source state (indexed.go): the per-type candidate orders and
 	// the shared candidate iterator.
@@ -119,7 +125,7 @@ var _ telemetry.ProvenanceAware = (*Heuristic)(nil)
 // warm-start counters core.warmstart.repairs / core.warmstart.repair_fail
 // (Repair attempts and fallbacks), and the probe-cache counters
 // core.cache.hits / core.cache.misses plus the core.cache.hit_rate gauge
-// (all zero while Cache is nil).
+// (all zero while Cache is nil or no probed list holds a future release).
 func (h *Heuristic) AttachMetrics(reg *telemetry.Registry) {
 	h.solves = reg.Counter("core.solves")
 	h.infeasible = reg.Counter("core.infeasible")
@@ -134,14 +140,15 @@ func (h *Heuristic) AttachMetrics(reg *telemetry.Registry) {
 // flushCacheStats folds the batched probe counters into the cache and the
 // instruments. Cheap no-op without a cache.
 func (h *Heuristic) flushCacheStats() {
-	if h.Cache == nil {
+	pr := &h.pr
+	if pr.Cache == nil {
 		return
 	}
-	h.Cache.AddStats(h.hitsDelta, h.missDelta)
-	h.cacheHits.Add(h.hitsDelta)
-	h.cacheMiss.Add(h.missDelta)
-	h.hitsDelta, h.missDelta = 0, 0
-	h.cacheRate.Set(h.Cache.Stats().HitRate())
+	pr.Cache.AddStats(pr.Hits, pr.Misses)
+	h.cacheHits.Add(pr.Hits)
+	h.cacheMiss.Add(pr.Misses)
+	pr.Hits, pr.Misses = 0, 0
+	h.cacheRate.Set(pr.Cache.Stats().HitRate())
 }
 
 // AttachProvenance installs the decision-provenance recorder
@@ -158,14 +165,20 @@ func (h *Heuristic) indexed() bool { return h.n >= indexedMinResources }
 
 // reset points the arena at p, growing it if needed, and restores every
 // resource's full window capacity K̄ and empty entry list (kept in
-// FeasibleSorted service order for the schedulability probes).
+// FeasibleSorted service order for the schedulability probes). The
+// per-job slices and the matrices grow to at least twice their previous
+// capacity, so a run whose problems keep growing reallocates them
+// O(log m) times, not once per new size.
 func (h *Heuristic) reset(p *sched.Problem) {
 	m, n := len(p.Jobs), p.Platform.Len()
 	h.p, h.n = p, n
+	h.pr.Cache = h.Cache
 	if cap(h.mapping) < m {
-		h.mapping = make([]int, m)
-		h.cand = make([]candSummary, m)
-		h.unassigned = make([]int, 0, m)
+		c := max(m, 2*cap(h.mapping))
+		h.mapping = make([]int, c)
+		h.terms = make([]jobTerms, c)
+		h.cand = make([]candSummary, c)
+		h.unassigned = make([]int, 0, c)
 	}
 	if cap(h.capacity) < n {
 		h.capacity = make([]float64, n)
@@ -174,8 +187,9 @@ func (h *Heuristic) reset(p *sched.Problem) {
 		h.lists = append(h.lists, make([]sched.EntryList, n-len(h.lists))...)
 	}
 	if !h.indexed() && cap(h.cpm) < m*n {
-		h.cpm = make([]float64, m*n)
-		h.des = make([]float64, m*n)
+		c := max(m*n, 2*cap(h.cpm))
+		h.cpm = make([]float64, c)
+		h.des = make([]float64, c)
 	}
 	window := p.Window()
 	for r := 0; r < n; r++ {
@@ -226,11 +240,17 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 //
 // Only the candidate source differs between platform sizes — how a job's
 // candidate summary is computed (summarise), how its candidates are
-// walked (nextCand) and where a cpm is read; the loop is the same.
+// walked (nextCand) and where a cpm is read; the loop is the same. Both
+// sources read the free jobs' cost terms, hoisted here once per call.
 func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
 	p, n, indexed := h.p, h.n, h.indexed()
 	for _, ji := range unassigned {
-		if !indexed {
+		j := p.Jobs[ji]
+		jt := &h.terms[ji]
+		*jt = newJobTerms(j, p.Time, p.Policy)
+		if indexed {
+			jt.ord = h.typeOrder(j.Type)
+		} else {
 			h.fillRow(ji)
 		}
 		h.summarise(ji)
@@ -281,41 +301,92 @@ func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
 		}
 
 		// Book j* on r. The booking shrank only r's capacity, so a job's
-		// summary can change only if it just lost r from its feasible set
-		// and r was its best or second candidate.
+		// summary can change only if r was its best or second candidate
+		// (then r is executable for it) and it just lost r from its
+		// feasible set; the cheap candidate test goes first.
 		h.mapping[ji] = r
 		oldCap := h.capacity[r]
 		h.capacity[r] -= c
 		newCap := h.capacity[r]
 		for _, uj := range unassigned {
+			if cc := &h.cand[uj]; cc.bestR != int32(r) && cc.secondR != int32(r) {
+				continue
+			}
 			var cu float64
 			if indexed {
-				cu = p.Jobs[uj].CPM(r, p.Policy)
+				cu = h.terms[uj].cpm(r)
 			} else {
 				cu = h.cpm[uj*n+r]
 			}
 			if cu > oldCap+sched.Eps || cu <= newCap+sched.Eps {
 				continue // was not a member, or still is
 			}
-			if cc := &h.cand[uj]; cc.bestR == int32(r) || cc.secondR == int32(r) {
-				h.summarise(uj)
-			}
+			h.summarise(uj)
 		}
 	}
 	return -1
 }
 
-// desire returns job ji's cpm on resource r and its desirability
+// jobTerms are one free job's solve-invariant cost terms, hoisted once
+// per place so that neither candidate source calls Job.CPM/EPM per (job,
+// resource) pair. cpm and epm keep those methods' float operations and
+// their order — wcet·frac + debt, then + migT — so every value is
+// bit-identical (FuzzJobTermsMatchCPM).
+type jobTerms struct {
+	wcet, energy []float64 // the type's rows
+	frac, debt   float64   // Job.Frac, Job.MigDebt
+	migT, migE   float64   // the type's migration surcharge
+	charge       bool      // leaving cur is a charged migration
+	cur          int       // the current resource, or sched.Unmapped
+	tl           float64   // t_left at the solve's time
+	ord          []int32   // the type's candidate index (index source only)
+}
+
+// newJobTerms hoists j's cost terms at time t under policy pol.
+func newJobTerms(j *sched.Job, t float64, pol sched.MigrationPolicy) jobTerms {
+	return jobTerms{
+		wcet: j.Type.WCET, energy: j.Type.Energy,
+		frac: j.Frac, debt: j.MigDebt,
+		migT: j.Type.MigTime, migE: j.Type.MigEnergy,
+		charge: j.Resource != sched.Unmapped && (pol == sched.ChargeAlways || j.Started),
+		cur:    j.Resource,
+		tl:     j.TimeLeft(t),
+	}
+}
+
+// executable reports whether the job's type can run on r.
+func (jt *jobTerms) executable(r int) bool {
+	return r >= 0 && r < len(jt.wcet) && jt.wcet[r] != task.NotExecutable
+}
+
+// cpm is Job.CPM on an executable resource r.
+func (jt *jobTerms) cpm(r int) float64 {
+	c := jt.wcet[r]*jt.frac + jt.debt
+	if jt.charge && r != jt.cur {
+		c += jt.migT
+	}
+	return c
+}
+
+// epm is Job.EPM on an executable resource r.
+func (jt *jobTerms) epm(r int) float64 {
+	e := jt.energy[r] * jt.frac
+	if jt.charge && r != jt.cur {
+		e += jt.migE
+	}
+	return e
+}
+
+// desire returns free job ji's cpm on resource r and its desirability
 // f_{j,i} = ep + em + M·(cpm > t_left); +Inf when the type cannot run on r
 // (line 6 of Algorithm 1).
 func (h *Heuristic) desire(ji, r int) (c, f float64) {
-	j := h.p.Jobs[ji]
-	c = j.CPM(r, h.p.Policy)
-	if c == task.NotExecutable {
-		return c, math.Inf(1)
+	jt := &h.terms[ji]
+	if !jt.executable(r) {
+		return task.NotExecutable, math.Inf(1)
 	}
-	f = j.EPM(r, h.p.Policy)
-	if c > j.TimeLeft(h.p.Time)+sched.Eps {
+	c, f = jt.cpm(r), jt.epm(r)
+	if c > jt.tl+sched.Eps {
 		f += bigM
 	}
 	return c, f
@@ -407,10 +478,10 @@ func (h *Heuristic) insertEntry(ji, r int, c float64) int {
 }
 
 // probe checks resource r's current entry list, through the cache when
-// one is attached. A non-nil fv receives the explained verdict.
+// one is attached and the list needs the EDF simulation. A non-nil fv
+// receives the explained verdict.
 func (h *Heuristic) probe(r int, fv *sched.FeasVerdict) bool {
-	return h.lists[r].Feasible(h.p.Platform.Resource(r).Preemptable(), h.p.Time,
-		&h.edf, h.Cache, &h.hitsDelta, &h.missDelta, fv)
+	return h.lists[r].Feasible(h.p.Platform.Resource(r).Preemptable(), h.p.Time, &h.pr, fv)
 }
 
 // check runs the EDF probe for job ji's trial entry on r. Recording
@@ -495,30 +566,9 @@ func (h *Heuristic) recordExcluded(ji int) {
 // A FallibleSolver failure is mapped to a rejection; callers that need
 // the cause (the engine) use AdmitProv instead.
 func Admit(s Solver, p *sched.Problem) (d Decision, admitted bool) {
-	d, admitted, err := AdmitProv(s, p, nil)
+	d, admitted, err := AdmitProv(s, p, nil, nil)
 	if err != nil {
 		return rejectAll(p), false
 	}
 	return d, admitted
-}
-
-// inflate lifts a sub-problem decision back onto the original problem's
-// job order; jobs dropped from the sub-problem become Unmapped.
-func inflate(p, cur *sched.Problem, d Decision) Decision {
-	if len(cur.Jobs) == len(p.Jobs) {
-		return d
-	}
-	byJob := make(map[*sched.Job]int, len(cur.Jobs))
-	for i, j := range cur.Jobs {
-		byJob[j] = d.Mapping[i]
-	}
-	full := make([]int, len(p.Jobs))
-	for i, j := range p.Jobs {
-		if r, ok := byJob[j]; ok {
-			full[i] = r
-		} else {
-			full[i] = sched.Unmapped
-		}
-	}
-	return Decision{Mapping: full, Feasible: true, Energy: d.Energy}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"predrm/internal/platform"
@@ -240,5 +241,84 @@ func TestAdmitAcceptsDirectly(t *testing.T) {
 	}
 	if d.Mapping[1] == sched.Unmapped {
 		t.Fatal("prediction dropped although joint solve succeeded")
+	}
+}
+
+// referenceAdmit is the seed admission fallback: a fresh copy of the
+// problem per dropped prediction and a pointer-keyed map to lift the
+// sub-problem decision back onto p's job order.
+func referenceAdmit(s Solver, p *sched.Problem) (Decision, bool) {
+	cur := p
+	for {
+		d := s.Solve(cur)
+		if d.Feasible {
+			byJob := make(map[*sched.Job]int, len(cur.Jobs))
+			for i, j := range cur.Jobs {
+				byJob[j] = d.Mapping[i]
+			}
+			full := make([]int, len(p.Jobs))
+			for i, j := range p.Jobs {
+				if r, ok := byJob[j]; ok {
+					full[i] = r
+				} else {
+					full[i] = sched.Unmapped
+				}
+			}
+			return Decision{Mapping: full, Feasible: true, Energy: d.Energy}, true
+		}
+		drop := -1
+		for i, j := range cur.Jobs {
+			if j.Predicted && (drop == -1 || j.Arrival > cur.Jobs[drop].Arrival) {
+				drop = i
+			}
+		}
+		if drop == -1 {
+			return rejectAll(p), false
+		}
+		q := &sched.Problem{Platform: cur.Platform, Time: cur.Time, Policy: cur.Policy}
+		q.Jobs = append(append(q.Jobs, cur.Jobs[:drop]...), cur.Jobs[drop+1:]...)
+		cur = q
+	}
+}
+
+// TestAdmitScratchMatchesReference: the admission protocol on one reused
+// AdmitScratch — predictions dropped in place, decisions lifted by the
+// two-pointer walk — returns exactly the seed fallback's decisions, on
+// problems carrying zero to three predicted jobs interleaved anywhere in
+// the job order under a tight horizon, so that most solves fall back.
+func TestAdmitScratchMatchesReference(t *testing.T) {
+	plat := platform.Default()
+	set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(81)
+	h := &Heuristic{}
+	var sc AdmitScratch
+	fallbacks := 0
+	for trial := 0; trial < 400; trial++ {
+		p := randomProblem(r, plat, set)
+		for k := r.Intn(4); k > 0; k-- {
+			jp := sched.NewJob(100+k, set.Type(r.Intn(set.Len())), p.Time+r.Uniform(0, 8), r.Uniform(3, 20))
+			jp.Predicted = true
+			at := r.Intn(len(p.Jobs) + 1)
+			p.Jobs = append(p.Jobs[:at], append([]*sched.Job{jp}, p.Jobs[at:]...)...)
+		}
+		want, wantOK := referenceAdmit(h, p)
+		got, gotOK, err := AdmitProv(h, p, nil, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotOK != wantOK || got.Feasible != want.Feasible || got.Energy != want.Energy ||
+			!slices.Equal(got.Mapping, want.Mapping) {
+			t.Fatalf("trial %d: got %+v (%v), reference %+v (%v)", trial, got, gotOK, want, wantOK)
+		}
+		if !gotOK || slices.Contains(got.Mapping[:len(p.Jobs)], sched.Unmapped) {
+			fallbacks++
+		}
+	}
+	t.Logf("%d of 400 admissions fell back", fallbacks)
+	if fallbacks < 100 {
+		t.Fatalf("only %d of 400 admissions fell back: the differential is not exercising the fallback", fallbacks)
 	}
 }

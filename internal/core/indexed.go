@@ -84,10 +84,8 @@ type candStream struct {
 // the Heuristic and is re-initialised per walk; its run buffers are
 // part of the scratch arena.
 type candIter struct {
-	j      *sched.Job
-	tl     float64
-	ord    []int32
-	a, b   candStream // non-penalised / penalised walks over ord
+	jt     *jobTerms
+	a, b   candStream // non-penalised / penalised walks over jt.ord
 	curR   int        // current-resource candidate; -1 absent or consumed
 	curDes float64
 	curCpm float64
@@ -125,21 +123,19 @@ func (h *Heuristic) typeOrder(t *task.Type) []int32 {
 // filled lazily by itNext, so a walk the caller abandons after one or
 // two candidates (rewalk) never scans past what it consumed.
 func (h *Heuristic) itInit(ji int) {
-	j := h.p.Jobs[ji]
+	jt := &h.terms[ji]
 	it := &h.it
-	it.j = j
-	it.tl = j.TimeLeft(h.p.Time)
-	it.ord = h.typeOrder(j.Type)
+	it.jt = jt
 	it.a.pen, it.a.i, it.a.ri = false, 0, 0
 	it.a.run = it.a.run[:0]
 	it.b.pen, it.b.i, it.b.ri = true, 0, 0
 	it.b.run = it.b.run[:0]
 	it.curR = -1
-	if r := j.Resource; r != sched.Unmapped && j.Type.ExecutableOn(r) {
-		c := j.CPM(r, h.p.Policy) // staying put: no migration surcharge
+	if r := jt.cur; r != sched.Unmapped && jt.executable(r) {
+		c := jt.cpm(r) // staying put: no migration surcharge
 		if c <= h.capacity[r]+sched.Eps {
-			des := j.EPM(r, h.p.Policy)
-			if c > it.tl+sched.Eps {
+			des := jt.epm(r)
+			if c > jt.tl+sched.Eps {
 				des += bigM
 			}
 			it.curR, it.curDes, it.curCpm = r, des, c
@@ -153,26 +149,24 @@ func (h *Heuristic) itInit(ji int) {
 // desirability strictly exceeds the run's; the cursor parks there for
 // the next refill. The run is kept in ascending resource id.
 func (h *Heuristic) itAdvance(s *candStream) {
-	it := &h.it
+	jt := h.it.jt
 	s.run = s.run[:0]
 	s.ri = 0
-	j, pol := it.j, h.p.Policy
-	skip := j.Resource
 	var runDes float64
-	for ; s.i < len(it.ord); s.i++ {
-		r := int(it.ord[s.i])
-		if r == skip {
+	for ; s.i < len(jt.ord); s.i++ {
+		r := int(jt.ord[s.i])
+		if r == jt.cur {
 			continue // merged separately as the singleton stream
 		}
-		c := j.CPM(r, pol) // executable by construction of ord
+		c := jt.cpm(r) // executable by construction of ord
 		if c > h.capacity[r]+sched.Eps {
 			continue // not in the feasible set (line 10)
 		}
-		pen := c > it.tl+sched.Eps
+		pen := c > jt.tl+sched.Eps
 		if pen != s.pen {
 			continue // belongs to the other stream
 		}
-		des := j.EPM(r, pol)
+		des := jt.epm(r)
 		if pen {
 			des += bigM
 		}
@@ -206,12 +200,13 @@ func (h *Heuristic) itAdvance(s *candStream) {
 // scan for penalised members that do not exist.
 func (h *Heuristic) itNext() (int, float64, float64, bool) {
 	it := &h.it
-	if it.a.ri == len(it.a.run) && it.a.i < len(it.ord) {
+	ord := it.jt.ord
+	if it.a.ri == len(it.a.run) && it.a.i < len(ord) {
 		h.itAdvance(&it.a)
 	}
 	aOK := it.a.ri < len(it.a.run)
 	if !aOK && !(it.curR >= 0 && it.curDes < bigM) &&
-		it.b.ri == len(it.b.run) && it.b.i < len(it.ord) {
+		it.b.ri == len(it.b.run) && it.b.i < len(ord) {
 		h.itAdvance(&it.b)
 	}
 	const (

@@ -165,7 +165,7 @@ func TestProvenanceAdmitAttempts(t *testing.T) {
 	// once dropped — forcing exactly one protocol fallback.
 	s := &predRejectStub{}
 	rec := telemetry.NewProvRecorder()
-	d, admitted, err := AdmitProv(s, p, rec)
+	d, admitted, err := AdmitProv(s, p, rec, nil)
 	if err != nil || !admitted || !d.Feasible {
 		t.Fatalf("admit = (%v, %v, %v)", d, admitted, err)
 	}

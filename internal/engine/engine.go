@@ -346,12 +346,14 @@ type Engine struct {
 	// The activation buffers, reused at every activation so that one
 	// costs no allocation beyond the jobs it creates (DESIGN.md §11):
 	// the job list and mapping decide and replan assemble, the problem
-	// handed to the solver and the scheduler, the replan's schedule
-	// scratch, the dispatch list of an execution step and the state-probe
-	// resources. Nothing keeps them past the activation.
+	// handed to the solver and the scheduler, the admission fallback's
+	// sub-problem and lifted mapping, the replan's schedule scratch, the
+	// dispatch list of an execution step and the state-probe resources.
+	// Nothing keeps them past the activation.
 	jobs     []*sched.Job
 	mapping  []int
 	problem  sched.Problem
+	admit    core.AdmitScratch
 	schedBuf sched.ScheduleScratch
 	acts     []execAction
 	probeRes []ResourceSample
@@ -632,7 +634,7 @@ func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome,
 		solveStart = time.Now()
 	}
 	r.prov.Reset()
-	decision, admitted, solveErr := core.AdmitProv(r.cfg.Solver, problem, r.prov)
+	decision, admitted, solveErr := core.AdmitProv(r.cfg.Solver, problem, r.prov, &r.admit)
 	var wall time.Duration
 	if measuring {
 		wall = time.Since(solveStart)

@@ -80,10 +80,12 @@ type Optimal struct {
 	Workers int
 	// CacheSlots sizes the cross-activation feasibility cache: 0 selects
 	// sched.DefaultFeasCacheSlots, negative disables the cache. The cache
-	// memoises EDF feasibility probes keyed by a canonical fingerprint of
-	// (resource entry list, candidate entry) and persists across Solve
-	// calls, so consecutive RM activations — which share almost all of
-	// their admitted state — reuse each other's verdicts.
+	// memoises the probes that need the EDF simulation — a resource list
+	// holding a predicted or future release; the others are cheaper as
+	// the cumulative scan — keyed by a canonical fingerprint of the entry
+	// list, and persists across Solve calls, so consecutive RM activations
+	// — which share almost all of their admitted state — reuse each
+	// other's verdicts.
 	CacheSlots int
 	// WarmStart remembers each solve's mapping and, on the next solve,
 	// repairs it into a feasible solution of the new problem (surviving
@@ -128,12 +130,11 @@ type Optimal struct {
 	// Scratch state for the current solve. Per-resource entry lists are
 	// kept in FeasibleSorted service order with future-release counts
 	// (sched.EntryList), so most feasibility probes are allocation-free
-	// cumulative scans; edf buffers the occasional full EDF simulation.
-	// The remaining slices are reused across solves and merely resliced.
+	// cumulative scans. The remaining slices are reused across solves and
+	// merely resliced.
 	p        *sched.Problem
 	order    []int // free job indices in branching order
 	lists    []sched.EntryList
-	edf      sched.EDFScratch
 	mapping  []int
 	free     []int
 	bestMap  []int
@@ -159,28 +160,27 @@ type Optimal struct {
 	warmSeeded bool
 	warmCuts   int
 
-	// Cross-activation feasibility cache (see CacheSlots) and the serial
-	// path's batched probe counters, flushed into the cache per Solve.
-	cache                *sched.FeasCache
-	hitsDelta, missDelta int64
-	lastEvict            int64
+	// The serial path's probe context: the EDF scratch, the
+	// cross-activation feasibility cache (see CacheSlots; shared with the
+	// parallel workers) and the batched probe counters, flushed into the
+	// cache per Solve.
+	probe     sched.Probe
+	lastEvict int64
 
 	// Parallel-search state (see parallel.go): the persistent worker
 	// scratch pool and the shared incumbent/termination machinery.
 	par parSearch
 }
 
-// feasibleList probes one entry list, going through the cache when
-// enabled (sched.EntryList.Feasible). hits/misses batch the probe
-// statistics caller-side so search workers pay no per-probe atomics.
-func feasibleList(p *sched.Problem, l *sched.EntryList, res int, cache *sched.FeasCache,
-	edf *sched.EDFScratch, hits, misses *int64) bool {
-	return l.Feasible(p.Platform.Resource(res).Preemptable(), p.Time, edf, cache, hits, misses, nil)
+// feasibleList probes one entry list on the caller's probe context, going
+// through the cache when enabled (sched.EntryList.Feasible).
+func feasibleList(p *sched.Problem, l *sched.EntryList, res int, pr *sched.Probe) bool {
+	return l.Feasible(p.Platform.Resource(res).Preemptable(), p.Time, pr, nil)
 }
 
 // feasible checks resource res's current entry list on the serial path.
 func (o *Optimal) feasible(res int) bool {
-	return feasibleList(o.p, &o.lists[res], res, o.cache, &o.edf, &o.hitsDelta, &o.missDelta)
+	return feasibleList(o.p, &o.lists[res], res, &o.probe)
 }
 
 var _ core.Solver = (*Optimal)(nil)
@@ -208,8 +208,8 @@ func (o *Optimal) recordBB() {
 		Truncated:   o.LastStats.Truncated,
 		Tasks:       o.LastStats.Tasks,
 		Workers:     o.LastStats.Workers,
-		CacheHits:   o.hitsDelta,
-		CacheMisses: o.missDelta,
+		CacheHits:   o.probe.Hits,
+		CacheMisses: o.probe.Misses,
 	}
 	if o.found {
 		b.Incumbent = o.bestE
@@ -286,10 +286,10 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	o.warmSeeded = false
 	o.warmCuts = 0
 
-	if o.cache == nil && o.CacheSlots >= 0 {
-		o.cache = sched.NewFeasCache(o.CacheSlots)
+	if o.probe.Cache == nil && o.CacheSlots >= 0 {
+		o.probe.Cache = sched.NewFeasCache(o.CacheSlots)
 	}
-	o.cache.Advance()
+	o.probe.Cache.Advance()
 
 	n := p.Platform.Len()
 	m := len(p.Jobs)
@@ -303,7 +303,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	}
 	for i := 0; i < n; i++ {
 		o.lists[i].Reset()
-		if o.cache != nil {
+		if o.probe.Cache != nil {
 			o.lists[i].EnableFingerprint(p.Time)
 		}
 	}
@@ -450,14 +450,15 @@ func (o *Optimal) prepareWarmBound(pinnedEnergy float64) {
 // flushCacheStats folds the batched probe counters into the cache and the
 // telemetry instruments.
 func (o *Optimal) flushCacheStats() {
-	if o.cache == nil {
+	pr := &o.probe
+	if pr.Cache == nil {
 		return
 	}
-	o.cache.AddStats(o.hitsDelta, o.missDelta)
-	o.mCacheHits.Add(o.hitsDelta)
-	o.mCacheMisses.Add(o.missDelta)
-	o.hitsDelta, o.missDelta = 0, 0
-	s := o.cache.Stats()
+	pr.Cache.AddStats(pr.Hits, pr.Misses)
+	o.mCacheHits.Add(pr.Hits)
+	o.mCacheMisses.Add(pr.Misses)
+	pr.Hits, pr.Misses = 0, 0
+	s := pr.Cache.Stats()
 	o.mCacheEvict.Add(s.Evictions - o.lastEvict)
 	o.lastEvict = s.Evictions
 	o.gCacheRate.Set(s.HitRate())

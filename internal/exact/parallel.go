@@ -67,7 +67,7 @@ type subtask struct {
 // solves.
 type parWorker struct {
 	lists   []sched.EntryList
-	edf     sched.EDFScratch
+	probe   sched.Probe // Cache shared with the serial path
 	mapping []int
 
 	// Batched accounting: local counts flushed into the shared atomics
@@ -76,8 +76,7 @@ type parWorker struct {
 	seen     int64
 	wallTick int64
 
-	hits, misses int64
-	warmCuts     int
+	warmCuts int
 }
 
 // parSearch is the shared coordination state of one parallel solve.
@@ -171,6 +170,7 @@ func (o *Optimal) solveParallel(h core.Decision, pinnedEnergy float64) (tasks, w
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
+		ps.workers[i].probe.Cache = o.probe.Cache
 		go o.runWorker(ps.workers[i], subtasks, remaining, &wg)
 	}
 	wg.Wait()
@@ -181,10 +181,10 @@ func (o *Optimal) solveParallel(h core.Decision, pinnedEnergy float64) (tasks, w
 	}
 	for i := 0; i < workers; i++ {
 		w := ps.workers[i]
-		o.hitsDelta += w.hits
-		o.missDelta += w.misses
+		o.probe.Hits += w.probe.Hits
+		o.probe.Misses += w.probe.Misses
 		o.warmCuts += w.warmCuts
-		w.hits, w.misses, w.warmCuts = 0, 0, 0
+		w.probe.Hits, w.probe.Misses, w.warmCuts = 0, 0, 0
 	}
 	if inc := ps.inc.Load(); inc != nil && !inc.seed {
 		o.found = true
@@ -322,7 +322,7 @@ func (o *Optimal) wdfs(w *parWorker, task, depth int, energy float64, limit int6
 	jobIdx := o.order[depth]
 	for ri, r := range o.resOrder[depth] {
 		pos := w.lists[r].Insert(o.p.Time, o.cand[depth][ri])
-		if feasibleList(o.p, &w.lists[r], r, o.cache, &w.edf, &w.hits, &w.misses) {
+		if feasibleList(o.p, &w.lists[r], r, &w.probe) {
 			w.mapping[jobIdx] = r
 			o.wdfs(w, task, depth+1, energy+o.candE[depth][ri], limit)
 			w.mapping[jobIdx] = sched.Unmapped

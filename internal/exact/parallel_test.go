@@ -260,8 +260,10 @@ func TestParallelBudgetedFallthrough(t *testing.T) {
 	}
 }
 
-// TestCacheHitsAcrossActivations: re-solving shared state must be answered
-// from the cross-activation cache, visibly in telemetry.
+// TestCacheHitsAcrossActivations: the cache fronts the EDF simulation
+// only. Solving a problem without a future release leaves it untouched;
+// once a predicted job is added, re-solving the identical activation must
+// be answered from the cross-activation cache, visibly in telemetry.
 func TestCacheHitsAcrossActivations(t *testing.T) {
 	plat := platform.Default()
 	set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(5))
@@ -273,12 +275,27 @@ func TestCacheHitsAcrossActivations(t *testing.T) {
 	o.AttachMetrics(reg)
 	r := rng.New(61)
 	p := randomWideProblem(r, plat, set)
-	d1 := o.Solve(p)
+	plain := &sched.Problem{Platform: p.Platform, Time: p.Time, Policy: p.Policy}
+	for _, j := range p.Jobs {
+		if !j.Predicted {
+			plain.Jobs = append(plain.Jobs, j)
+		}
+	}
+	o.Solve(plain)
+	if h, m := reg.Counter("exact.cache.hits").Value(), reg.Counter("exact.cache.misses").Value(); h != 0 || m != 0 {
+		t.Fatalf("a problem without future releases reached the cache: hits=%d misses=%d", h, m)
+	}
+
+	jp := sched.NewJob(len(plain.Jobs), set.Type(0), p.Time+2, 60)
+	jp.Predicted = true
+	pred := &sched.Problem{Platform: p.Platform, Time: p.Time, Policy: p.Policy,
+		Jobs: append(append([]*sched.Job(nil), plain.Jobs...), jp)}
+	d1 := o.Solve(pred)
 	firstHits := reg.Counter("exact.cache.hits").Value()
 	if reg.Counter("exact.cache.misses").Value() == 0 {
-		t.Fatal("no probes reached the cache")
+		t.Fatal("no EDF-simulation probes reached the cache")
 	}
-	d2 := o.Solve(p)
+	d2 := o.Solve(pred)
 	assertSameDecision(t, 0, d1, d2)
 	hits := reg.Counter("exact.cache.hits").Value()
 	if hits <= firstHits {

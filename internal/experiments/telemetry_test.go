@@ -50,14 +50,20 @@ func TestTelemetryProbe(t *testing.T) {
 	if r.PerVariant["MILP"].Counters["exact.solves"] == 0 {
 		t.Error("exact.solves not recorded")
 	}
-	// The exact solver's cross-activation pruning cache must be doing real
-	// work on a sweep: consecutive activations share most of their admitted
-	// state, so feasibility probes repeat and hit.
-	if hits := r.PerVariant["MILP"].Counters["exact.cache.hits"]; hits == 0 {
-		t.Error("exact.cache.hits is zero: the pruning cache never hit across activations")
+	// The exact solver's cross-activation pruning cache fronts the EDF
+	// simulation only, which runs when a list holds a future release. With
+	// prediction it must be doing real work on a sweep: consecutive
+	// activations share most of their admitted state, so those probes
+	// repeat and hit. Without prediction no probe needs the simulation,
+	// so the cache sees none.
+	if hits := r.PerVariant["MILP+pred"].Counters["exact.cache.hits"]; hits == 0 {
+		t.Error("MILP+pred: exact.cache.hits is zero: the pruning cache never hit across activations")
 	}
-	if rate := r.PerVariant["MILP"].Gauges["exact.cache.hit_rate"].Value; rate <= 0 || rate > 1 {
-		t.Errorf("exact.cache.hit_rate = %v, want in (0,1]", rate)
+	if rate := r.PerVariant["MILP+pred"].Gauges["exact.cache.hit_rate"].Value; rate <= 0 || rate > 1 {
+		t.Errorf("MILP+pred: exact.cache.hit_rate = %v, want in (0,1]", rate)
+	}
+	if h, m := r.PerVariant["MILP"].Counters["exact.cache.hits"], r.PerVariant["MILP"].Counters["exact.cache.misses"]; h != 0 || m != 0 {
+		t.Errorf("MILP: cache probes recorded without prediction: hits=%d misses=%d", h, m)
 	}
 	if r.Merged.Counters["sim.requests"] != 4*wantRequests {
 		t.Errorf("merged requests: got %d, want %d", r.Merged.Counters["sim.requests"], 4*wantRequests)

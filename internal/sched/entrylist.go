@@ -123,35 +123,53 @@ func (l *EntryList) Remove(t float64, pos int) {
 	l.entries = s[:len(s)-1]
 }
 
+// Probe is one caller's context for EntryList.Feasible: the EDF scratch
+// the simulation runs on, the optional cross-activation feasibility cache
+// and the probe statistics batched caller-side, so concurrent search
+// workers (each with its own Probe over a shared Cache) pay no per-probe
+// atomics. The caller folds Hits/Misses into the cache and its
+// instruments (FeasCache.AddStats) and zeroes them. The zero value probes
+// directly, with no cache. A Probe is not safe for concurrent use.
+type Probe struct {
+	Cache        *FeasCache
+	Hits, Misses int64
+	edf          EDFScratch
+}
+
 // Feasible reports whether the list is EDF-schedulable on its resource
 // from time t: the allocation-free sorted cumulative scan while no future
-// release is present, the EDF simulation on s's buffers otherwise.
+// release is present, the EDF simulation on pr's scratch otherwise. A nil
+// pr probes on per-call buffers.
 //
-// A non-nil cache routes the probe through a feasibility cache: the
-// list's incremental fingerprint (which must be enabled) keys a lookup,
-// and only a miss runs the actual check, whose verdict is then stored.
-// hits/misses batch the probe statistics caller-side so concurrent search
-// workers pay no per-probe atomics. A cached verdict is the verdict the
-// check computed for an identical normalised entry multiset, so the cache
-// never changes a caller's decisions (modulo 128-bit fingerprint
-// collisions, which the exact solver's cache accepts as well).
+// A cache on pr fronts the EDF simulation only: the list's incremental
+// fingerprint (which must be enabled) keys a lookup, and only a miss
+// simulates, storing the verdict. The cumulative scan is O(entries) over
+// a contiguous slice and cheaper than the table's random read, so a list
+// without future releases never touches the cache. A cached verdict is
+// the verdict the simulation computed for an identical normalised entry
+// multiset, so the cache never changes a caller's decisions (modulo
+// 128-bit fingerprint collisions, which the exact solver's cache accepts
+// as well).
 //
 // A non-nil v receives the explained verdict for the provenance plane —
 // the tightest slack, the deadline that broke and the path that decided;
 // an explained probe neither reads nor writes the cache.
-func (l *EntryList) Feasible(preemptable bool, t float64, s *EDFScratch,
-	cache *FeasCache, hits, misses *int64, v *FeasVerdict) bool {
-	if cache == nil || v != nil {
+func (l *EntryList) Feasible(preemptable bool, t float64, pr *Probe, v *FeasVerdict) bool {
+	var s *EDFScratch
+	if pr != nil {
+		s = &pr.edf
+	}
+	if pr == nil || pr.Cache == nil || v != nil || l.future == 0 {
 		return l.check(preemptable, t, s, v)
 	}
 	fp := l.FeasFingerprint(preemptable)
-	if ok, hit := cache.Lookup(fp); hit {
-		*hits++
+	if ok, hit := pr.Cache.Lookup(fp); hit {
+		pr.Hits++
 		return ok
 	}
-	*misses++
+	pr.Misses++
 	ok := l.check(preemptable, t, s, nil)
-	cache.Store(fp, ok)
+	pr.Cache.Store(fp, ok)
 	return ok
 }
 

@@ -70,8 +70,8 @@ func TestEntryListFeasibleMatchesResourceFeasible(t *testing.T) {
 			}
 			l.Insert(now, e)
 		}
-		var s EDFScratch
-		got := l.Feasible(preemptable, now, &s, nil, nil, nil, nil)
+		var pr Probe
+		got := l.Feasible(preemptable, now, &pr, nil)
 		want := ResourceFeasible(preemptable, now, append([]Entry(nil), l.Entries()...), nil)
 		if got != want {
 			t.Fatalf("trial %d (preemptable=%v): Feasible=%v, ResourceFeasible=%v on %+v",

@@ -66,16 +66,16 @@ func referenceExplain(preemptable bool, t float64, l *EntryList) FeasVerdict {
 func TestFeasibleExplainMatchesFeasible(t *testing.T) {
 	r := rng.New(777)
 	now := 10.0
-	var scratch EDFScratch
+	var pr Probe
 	for trial := 0; trial < 4000; trial++ {
 		var l EntryList
 		for i, k := 0, r.Intn(7); i < k; i++ {
 			l.Insert(now, randomEntry(r, now))
 		}
 		preempt := r.Float64() < 0.5
-		want := l.Feasible(preempt, now, &scratch, nil, nil, nil, nil)
+		want := l.Feasible(preempt, now, &pr, nil)
 		var v FeasVerdict
-		if got := l.Feasible(preempt, now, &scratch, nil, nil, nil, &v); got != v.Feasible {
+		if got := l.Feasible(preempt, now, &pr, &v); got != v.Feasible {
 			t.Fatalf("trial %d: explained probe returned %v, verdict says %v", trial, got, v.Feasible)
 		}
 		if v.Feasible != want {
@@ -105,7 +105,7 @@ func TestFeasibleExplainMatchesFeasible(t *testing.T) {
 func TestFeasibleExplainEmpty(t *testing.T) {
 	var l EntryList
 	var v FeasVerdict
-	l.Feasible(true, 5, nil, nil, nil, nil, &v)
+	l.Feasible(true, 5, nil, &v)
 	if !v.Feasible || v.Slack != 0 || v.BreachDeadline != 0 || v.EDFPath {
 		t.Fatalf("empty-list verdict = %+v", v)
 	}

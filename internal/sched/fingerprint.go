@@ -13,7 +13,10 @@ import (
 // over: sibling subtrees that place the same jobs on a resource probe an
 // identical list, the admission protocol re-solves near-identical problems
 // with one predicted job dropped, and consecutive RM activations share
-// almost all of their admitted state. FeasCache memoises those probes.
+// almost all of their admitted state. FeasCache memoises those probes —
+// the ones that run the EDF simulation; a list without a future release
+// is answered by the cumulative scan, which is cheaper than a lookup
+// (EntryList.Feasible).
 //
 // Keys are content fingerprints of the entry multiset with all times
 // normalised to the activation time t (ReadyAt-t, Deadline-t), so a state
@@ -232,8 +235,8 @@ func entryHash(t float64, e Entry) uint64 {
 // called on an empty list; Insert and Remove then keep a multiset digest
 // of the entries at O(1) extra cost, and FeasFingerprint reads it without
 // touching the entries. Reset preserves the setting; CopyFrom copies it
-// from the source. Lists that never consult a FeasCache (the heuristic's)
-// leave it off and pay nothing.
+// from the source. Lists whose owner has no FeasCache leave it off and
+// pay nothing.
 func (l *EntryList) EnableFingerprint(t float64) {
 	l.fpOn = true
 	l.fpT = t

@@ -275,3 +275,44 @@ func TestFeasCacheNil(t *testing.T) {
 		t.Fatalf("nil stats: %+v", s)
 	}
 }
+
+// TestFeasibleCacheFrontsEDFOnly: a probe of a list without future
+// releases is the direct cumulative scan and leaves the cache alone — no
+// hit, no miss, no slot written — while a list with a future release is
+// looked up, simulated and stored on the first probe and answered from
+// the table on the second, with the same verdict.
+func TestFeasibleCacheFrontsEDFOnly(t *testing.T) {
+	const now = 4.0
+	c := NewFeasCache(64)
+	pr := Probe{Cache: c}
+	var l EntryList
+	l.EnableFingerprint(now)
+	l.Insert(now, Entry{ReadyAt: now, Deadline: now + 10, Rem: 3})
+	l.Insert(now, Entry{ReadyAt: now, Deadline: now + 6, Rem: 2})
+	want := FeasibleSorted(now, l.Entries())
+	for i := 0; i < 3; i++ {
+		if got := l.Feasible(true, now, &pr, nil); got != want {
+			t.Fatalf("scan probe %d: %v, want %v", i, got, want)
+		}
+	}
+	if pr.Hits != 0 || pr.Misses != 0 {
+		t.Fatalf("scan probes counted hits=%d misses=%d", pr.Hits, pr.Misses)
+	}
+	for i := range c.slots {
+		if c.slots[i].Load() != 0 {
+			t.Fatalf("scan probe wrote slot %d", i)
+		}
+	}
+
+	l.Insert(now, Entry{ReadyAt: now + 1.5, Deadline: now + 8, Rem: 1})
+	want = ResourceFeasible(true, now, append([]Entry(nil), l.Entries()...), nil)
+	if got := l.Feasible(true, now, &pr, nil); got != want || pr.Hits != 0 || pr.Misses != 1 {
+		t.Fatalf("first EDF probe: %v (want %v), hits=%d misses=%d", got, want, pr.Hits, pr.Misses)
+	}
+	if ok, hit := c.Lookup(l.FeasFingerprint(true)); !hit || ok != want {
+		t.Fatalf("EDF verdict not stored: hit=%v ok=%v", hit, ok)
+	}
+	if got := l.Feasible(true, now, &pr, nil); got != want || pr.Hits != 1 || pr.Misses != 1 {
+		t.Fatalf("second EDF probe: %v (want %v), hits=%d misses=%d", got, want, pr.Hits, pr.Misses)
+	}
+}

@@ -49,19 +49,6 @@ func (p *Problem) NumPredicted() int {
 	return n
 }
 
-// Without returns a copy of the problem with Jobs[idx] removed. Jobs are
-// shared, not cloned.
-func (p *Problem) Without(idx int) *Problem {
-	q := &Problem{Platform: p.Platform, Time: p.Time, Policy: p.Policy}
-	q.Jobs = make([]*Job, 0, len(p.Jobs)-1)
-	for i, j := range p.Jobs {
-		if i != idx {
-			q.Jobs = append(q.Jobs, j)
-		}
-	}
-	return q
-}
-
 // WithoutPred returns a copy of the problem with the predicted job removed
 // (the Sec 4.1 fallback). Jobs are shared, not cloned.
 func (p *Problem) WithoutPred() *Problem {

@@ -74,10 +74,6 @@ func TestValidate(t *testing.T) {
 	if multi.NumPredicted() != 2 {
 		t.Fatalf("NumPredicted = %d", multi.NumPredicted())
 	}
-	// Without removes one job.
-	if got := multi.Without(2); len(got.Jobs) != 2 || got.NumPredicted() != 1 {
-		t.Fatalf("Without(2) left %d jobs, %d predicted", len(got.Jobs), got.NumPredicted())
-	}
 	// Finished job.
 	bad3 := motivProblem(false)
 	bad3.Jobs[0].Frac = 0
