@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build test vet fmtcheck race allocs fuzz bench benchcheck tracecheck cli
+.PHONY: check build test vet fmtcheck race allocs fuzz bench benchcheck tracecheck cli benchmod
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
@@ -9,9 +9,10 @@ GOFMT ?= gofmt
 # epochs and the wall-clock server), run the allocation budgets the race
 # build skips, audit the golden trace with the replay checker, fuzz the
 # heuristic against its seed implementation, smoke-run the rmsim
-# command-line wiring, and gate the hot-path benchmarks against the
-# committed baseline (skip: BENCHCHECK=0).
-check: vet fmtcheck build race allocs fuzz tracecheck cli benchcheck
+# command-line wiring, vet and test the bench/ module against the current
+# API, and gate the hot-path benchmarks against the committed baseline
+# (skip: BENCHCHECK=0).
+check: vet fmtcheck build race allocs fuzz tracecheck cli benchmod benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
 # is the offending file list).
@@ -39,7 +40,7 @@ race:
 
 # allocs runs the allocation-budget tests (files tagged !race, since the
 # race detector allocates on its own): a steady-state activation, the
-# admission fallback at a saturated load, a sharded epoch,
+# admission fallback at a saturated load, a sharded epoch, the state probe,
 # Problem.Schedule with a warm scratch, the exact solver's ordering and
 # the heuristic arena's geometric growth.
 allocs:
@@ -53,6 +54,12 @@ allocs:
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzJobTermsMatchCPM$$' -fuzztime=10s
+
+# benchmod vets and tests the end-to-end benchmark harness, a module of its
+# own under bench/ that ./... at the root never reaches. go test, unlike
+# go build, leaves no binary in the tree.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs every benchmark and also writes a machine-readable summary
 # (ns/op, B/op, allocs/op per benchmark) for regression tracking.
@@ -78,8 +85,9 @@ tracecheck:
 	$(GO) run ./cmd/tracetool check internal/sim/testdata/events.golden.jsonl
 
 # cli smoke-runs rmsim's flag wiring (prediction, each engine, the
-# budgeted fallback chain with injected faults, shards with batch epochs,
-# the Gantt view) and a tracegen -> rmsim -taskset/-trace round trip.
+# budgeted fallback chain with injected faults, batch epochs on one and on
+# two shards, the Gantt view) and a tracegen -> rmsim -taskset/-trace
+# round trip.
 # Any non-zero exit fails it; rmsim exits 1 on a deadline miss.
 cli:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -89,6 +97,7 @@ cli:
 	run -engine greedy; \
 	run -engine milp -len 40; \
 	run -solver-budget 2000 -fault-plan seed=7,solver-error=0.2; \
+	run -batch-window 1; \
 	run -shards 2 -platform 16c2g -batch-window 1; \
 	run -gantt 20; \
 	"$$tmp/tracegen" -out "$$tmp/tr" -count 1 -len 60 >/dev/null; \

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/experiments"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
@@ -208,7 +209,7 @@ func benchSim(b *testing.B, instrument bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := sim.Config{
+		cfg := engine.Config{
 			Platform:  plat,
 			TaskSet:   set,
 			Solver:    &core.Heuristic{},

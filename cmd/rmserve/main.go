@@ -127,17 +127,14 @@ func main() {
 		cfg.Provenance = *provOn
 	}
 	// solver builds one solver instance with, under -solver-budget, its
-	// own fallback chain. Shards cannot share solver state, so the sharded
-	// engine calls it once per shard; the tracer is nil there.
+	// own fallback chain: the engine's one, or with -shards > 1 one per
+	// shard, as shards cannot share solver state (the tracer is nil there).
 	solver := func() core.Solver {
 		s := newSolver()
 		if *solverBudget == "" {
 			return s
 		}
 		return cli.Budgeted(*engName, s, budget, tracer)
-	}
-	if *shards == 1 {
-		cfg.Solver = solver()
 	}
 
 	plane := obs.NewPlane(obs.Options{

@@ -39,6 +39,7 @@ import (
 
 	"predrm/cmd/internal/cli"
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/faultinject"
 	"predrm/internal/gantt"
 	"predrm/internal/obs"
@@ -53,7 +54,7 @@ func main() {
 	var (
 		tracePath = flag.String("trace", "", "trace JSON file (empty: generate)")
 		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
-		engine    = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
+		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
 		exactWork = flag.Int("exact-workers", 0, "search goroutines for -engine milp (0 or 1: serial; results are identical either way)")
 		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work: the milp engine repairs its last mapping into a pruning bound, the heuristic engines cache EDF probe verdicts across activations; decisions are identical either way")
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
@@ -87,8 +88,8 @@ func main() {
 	if *exactWork < 0 {
 		fatalf("-exact-workers %d must be non-negative", *exactWork)
 	}
-	if *engine != "milp" && cli.FlagWasSet("exact-workers") {
-		fatalf("-exact-workers has no effect with -engine %s", *engine)
+	if *engName != "milp" && cli.FlagWasSet("exact-workers") {
+		fatalf("-exact-workers has no effect with -engine %s", *engName)
 	}
 	if *opsAddr == "" && cli.FlagWasSet("ops-linger") {
 		fatalf("-ops-linger has no effect without -ops-addr")
@@ -118,7 +119,7 @@ func main() {
 		}
 	}
 
-	newSolver, err := cli.SolverFactory(*engine, *exactWork, *warmStart)
+	newSolver, err := cli.SolverFactory(*engName, *exactWork, *warmStart)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -159,7 +160,7 @@ func main() {
 		}
 	}
 
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Platform:        plat,
 		TaskSet:         set,
 		RecordExecution: *showGantt > 0,
@@ -222,9 +223,9 @@ func main() {
 		}
 	}
 	// solver builds one solver instance with, under -solver-budget or
-	// -fault-plan, its own fallback chain. Shards cannot share solver
-	// state, so the sharded runner calls it once per shard; the tracer is
-	// nil there, as flag validation refuses tracing with -shards > 1.
+	// -fault-plan, its own fallback chain: the engine's one, or with
+	// -shards > 1 one per shard, as shards cannot share solver state (the
+	// tracer is nil there, as flag validation refuses tracing).
 	solver := func() core.Solver {
 		s := newSolver()
 		if !resilient {
@@ -233,10 +234,7 @@ func main() {
 		if plan != nil {
 			s = plan.Solver(s, tracer)
 		}
-		return cli.Budgeted(*engine, s, budget, tracer)
-	}
-	if *shards == 1 {
-		cfg.Solver = solver()
+		return cli.Budgeted(*engName, s, budget, tracer)
 	}
 	var (
 		plane  *obs.Plane
@@ -264,16 +262,11 @@ func main() {
 		}
 	}
 
-	var res *sim.Result
-	if *shards > 1 || *batchWin > 0 {
-		res, err = sim.RunSharded(cfg, sim.ShardConfig{
-			Shards:      *shards,
-			BatchWindow: *batchWin,
-			NewSolver:   solver,
-		}, tr)
-	} else {
-		res, err = sim.Run(cfg, tr)
-	}
+	res, err := sim.RunSharded(cfg, engine.ShardConfig{
+		Shards:      *shards,
+		BatchWindow: *batchWin,
+		NewSolver:   solver,
+	}, tr)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -326,7 +319,7 @@ func main() {
 				j.ID, j.Type, j.Arrival, j.AbsDeadline, status)
 		}
 	}
-	fmt.Printf("engine:           %s (prediction %v)\n", *engine, *usePred)
+	fmt.Printf("engine:           %s (prediction %v)\n", *engName, *usePred)
 	fmt.Printf("platform:         %s\n", plat.Spec())
 	if *shards > 1 || *batchWin > 0 {
 		fmt.Printf("scale-out:        %d shard(s), batch window %g\n", *shards, *batchWin)

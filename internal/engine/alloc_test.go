@@ -158,6 +158,32 @@ func TestShardedEpochAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocs per decision", got)
 	const budget = 10
 	if got > budget {
-		t.Fatalf("Sharded.ActivateEpoch: %.2f allocs per decision, budget %d", got, budget)
+		t.Fatalf("sharded ActivateEpoch: %.2f allocs per decision, budget %d", got, budget)
+	}
+}
+
+// TestStateProbeAllocBudget: publishing a state sample allocates nothing
+// once the resource buffer is warm, on a bare engine and merged over four
+// shards (a server probes after every decision).
+func TestStateProbeAllocBudget(t *testing.T) {
+	e, tr := predictedVT(t, 2.2)
+	e.cfg.StateProbe = func(StateSample) {}
+	for i, req := range tr.Requests[:200] {
+		if _, err := e.Activate(i, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr4, build := shardFixture(t, "16c2g", 4, 200, 0.6, 65)
+	s := build(func(StateSample) {})
+	for i, req := range tr4.Requests {
+		if _, err := s.Activate(i, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		e.probe(199)
+		s.probeGlobal(199)
+	}); got != 0 {
+		t.Fatalf("state probes: %.2f allocs per sample pair, budget 0", got)
 	}
 }

@@ -4,8 +4,9 @@ import "predrm/internal/trace"
 
 // Driver is the activation surface a clock owner programs against: the
 // discrete-event simulator and the wall-clock server both drive exactly
-// this interface, so either can run a single Engine or a Sharded
-// scale-out engine without knowing which (DESIGN.md §11, §12).
+// this interface, so either can run a single Engine or the sharded
+// scale-out engine NewSharded builds without knowing which (DESIGN.md
+// §11, §12).
 //
 // Implementations are not safe for concurrent use; callers serialise all
 // methods, exactly as with a bare *Engine.
@@ -25,7 +26,7 @@ type Driver interface {
 	Drain() error
 	// Finalize assembles the run's Result (idempotent).
 	Finalize() *Result
-	// Now is the engine clock (for Sharded: the most advanced shard).
+	// Now is the engine clock (sharded: the most advanced shard).
 	Now() float64
 	// InFlight counts active jobs across the whole platform.
 	InFlight() int
@@ -34,8 +35,3 @@ type Driver interface {
 	// HasAdaptiveWork reports whether driver-submitted jobs remain active.
 	HasAdaptiveWork() bool
 }
-
-var (
-	_ Driver = (*Engine)(nil)
-	_ Driver = (*Sharded)(nil)
-)

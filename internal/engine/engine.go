@@ -163,6 +163,11 @@ type ExecSegment struct {
 	End      float64 `json:"end"`
 }
 
+// ErrLookaheadUnsupported rejects a Lookahead > 1 whose Predictor cannot
+// forecast several steps (it does not implement predict.MultiPredictor):
+// the engine would silently plan with a one-step forecast.
+var ErrLookaheadUnsupported = errors.New("engine: lookahead > 1 needs a predict.MultiPredictor")
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	switch {
@@ -176,6 +181,9 @@ func (c *Config) Validate() error {
 		return errors.New("engine: negative lookahead")
 	case c.Lookahead > 1 && c.Predictor == nil:
 		return errors.New("engine: lookahead needs a predictor")
+	}
+	if _, ok := c.Predictor.(predict.MultiPredictor); c.Lookahead > 1 && !ok {
+		return fmt.Errorf("%w (%T)", ErrLookaheadUnsupported, c.Predictor)
 	}
 	return nil
 }

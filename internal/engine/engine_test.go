@@ -53,6 +53,34 @@ func TestActivateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestValidateLookaheadNeedsMultiPredictor: a horizon beyond one step
+// with a predictor that forecasts only one step is refused with the named
+// error, instead of silently planning with the one-step forecast.
+func TestValidateLookaheadNeedsMultiPredictor(t *testing.T) {
+	set, err := task.Generate(platform.Default(), task.DefaultGenConfig(), rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	markov, err := predict.NewMarkov(set.Len(), predict.NewEWMA(0.3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: platform.Default(), TaskSet: set, Solver: &core.Heuristic{}, Predictor: markov, Lookahead: 3}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("multi-step predictor refused: %v", err)
+	}
+	// Embedding the interface hides PredictK, as a wrapper that forwards
+	// only Predictor's methods does.
+	cfg.Predictor = struct{ predict.Predictor }{markov}
+	if _, err := New(cfg); !errors.Is(err, ErrLookaheadUnsupported) {
+		t.Fatalf("one-step predictor at lookahead 3: err = %v, want %v", err, ErrLookaheadUnsupported)
+	}
+	cfg.Lookahead = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("one-step predictor at lookahead 1 refused: %v", err)
+	}
+}
+
 // TestWakeSteppingWithReservations: with prediction the standing plan
 // holds reservations, and an inaccurate oracle (TimeError 0.3) puts
 // predicted arrivals where the reserved resource idles. A driver that

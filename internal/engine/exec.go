@@ -17,31 +17,40 @@ func (r *Engine) probe(req int) {
 		return
 	}
 	r.probeRes = zeroedSamples(r.probeRes, r.cfg.Platform.Len())
-	s := StateSample{
-		Time:           r.now,
-		Req:            req,
-		Requests:       r.res.Accepted + r.res.Rejected,
-		Accepted:       r.res.Accepted,
-		Rejected:       r.res.Rejected,
-		Finished:       r.finished,
-		DeadlineMisses: r.res.DeadlineMisses,
-		InFlight:       len(r.active),
-		Resources:      r.probeRes,
+	s := StateSample{Time: r.now, Req: req, Resources: r.probeRes}
+	r.addState(&s, nil)
+	r.cfg.StateProbe(s)
+}
+
+// addState adds the engine's counters, mapped jobs and reservations into
+// s. ids, when non-nil, maps the engine's resource ids to indices of
+// s.Resources (a shard's local ids to the platform's global ones).
+func (r *Engine) addState(s *StateSample, ids []int) {
+	s.Requests += r.res.Accepted + r.res.Rejected
+	s.Accepted += r.res.Accepted
+	s.Rejected += r.res.Rejected
+	s.Finished += r.finished
+	s.DeadlineMisses += r.res.DeadlineMisses
+	s.InFlight += len(r.active)
+	global := func(res int) int {
+		if ids == nil {
+			return res
+		}
+		return ids[res]
 	}
 	for _, j := range r.active {
 		if j.Resource == sched.Unmapped {
 			continue
 		}
-		rs := &s.Resources[j.Resource]
+		rs := &s.Resources[global(j.Resource)]
 		rs.Jobs++
 		if rs.NextDeadline == 0 || j.AbsDeadline < rs.NextDeadline {
 			rs.NextDeadline = j.AbsDeadline
 		}
 	}
 	for _, g := range r.pendingResv {
-		s.Resources[g.res].Reserved++
+		s.Resources[global(g.res)].Reserved++
 	}
-	r.cfg.StateProbe(s)
 }
 
 // zeroedSamples returns buf resized to n zeroed samples, reusing its

@@ -12,10 +12,8 @@
 // mapped to the best resource of its shard, not of the whole platform —
 // DESIGN.md §12 develops the argument and the determinism guarantees.
 //
-// With one shard the engine is the engine: NewSharded wires the single
-// sub-engine with the caller's Config untouched and every method
-// delegates, so a 1-shard Sharded is byte-identical to a bare Engine —
-// the differential tests pin this.
+// With one shard the engine is the engine: NewSharded returns the bare
+// Engine built from the caller's Config.
 package engine
 
 import (
@@ -33,8 +31,8 @@ import (
 
 // ShardConfig parameterises the scale-out engine.
 type ShardConfig struct {
-	// Shards is the number of partitions (≥ 1). One shard delegates to a
-	// single Engine unchanged.
+	// Shards is the number of partitions; 0 and 1 both mean the bare,
+	// unpartitioned Engine.
 	Shards int
 	// BatchWindow is the epoch length drivers should collect arrivals
 	// over before calling ActivateEpoch; 0 means one-by-one admission.
@@ -43,7 +41,8 @@ type ShardConfig struct {
 	BatchWindow float64
 	// NewSolver builds one solver per shard — engines are not safe for
 	// concurrent use and neither are solvers, so shards cannot share
-	// cfg.Solver. Required when Shards > 1.
+	// cfg.Solver. Required when Shards > 1; with one shard it supplies
+	// cfg.Solver when that is nil.
 	NewSolver func() core.Solver
 }
 
@@ -56,12 +55,11 @@ type shardState struct {
 	locals []int
 }
 
-// Sharded drives one engine per platform shard behind the Driver
+// sharded drives one engine per platform shard behind the Driver
 // interface. Not safe for concurrent use (like Engine); the concurrency
 // inside ActivateEpoch stays behind the call.
-type Sharded struct {
+type sharded struct {
 	cfg     Config
-	sc      ShardConfig
 	shards  []shardState
 	loads   *sched.LoadIndex
 	elig    [][]bool // [typeID][shard]
@@ -69,24 +67,24 @@ type Sharded struct {
 	// routes maps global request id -> shard index (the local id is the
 	// position in that shard's locals).
 	routes []int
-	single *Engine // set when Shards == 1: full delegation
 	res    *Result // merged result, built once by Finalize
 	// probeRes backs the merged samples' Resources, reused like Engine's.
 	probeRes []ResourceSample
 }
 
-// NewSharded partitions cfg.Platform into sc.Shards shards and builds
-// one engine per shard. With one shard the caller's Config is used
-// unchanged (full delegation). With more, the features whose state is
-// inherently global — tracing, provenance, critical workloads,
-// prediction, the overhead hook — are rejected rather than silently
-// given per-shard semantics; Metrics and StateProbe are supported
-// globally (a shared registry, and globally merged samples).
-func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
-	if sc.Shards <= 0 {
-		return nil, errors.New("engine: sharded needs at least one shard")
+// NewSharded builds the engine for sc: with 0 or 1 shards the bare
+// Engine over cfg (cfg.Solver from sc.NewSolver when nil), with more a
+// partition of cfg.Platform into sc.Shards shards and one engine per
+// shard. There the features whose state is inherently global — tracing,
+// provenance, critical workloads, prediction, the overhead hook — are
+// rejected rather than silently given per-shard semantics; Metrics and
+// StateProbe are supported globally (a shared registry, and globally
+// merged samples).
+func NewSharded(cfg Config, sc ShardConfig) (Driver, error) {
+	if sc.Shards < 0 {
+		return nil, fmt.Errorf("engine: negative shard count %d", sc.Shards)
 	}
-	if sc.Shards == 1 {
+	if sc.Shards <= 1 {
 		if cfg.Solver == nil && sc.NewSolver != nil {
 			cfg.Solver = sc.NewSolver()
 		}
@@ -94,7 +92,7 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Sharded{cfg: cfg, sc: sc, single: eng}, nil
+		return eng, nil
 	}
 	switch {
 	case sc.NewSolver == nil:
@@ -117,10 +115,8 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	globalProbe := cfg.StateProbe
-	s := &Sharded{
+	s := &sharded{
 		cfg:    cfg,
-		sc:     sc,
 		shards: make([]shardState, 0, len(parts)),
 		loads:  sched.NewLoadIndex(len(parts)),
 	}
@@ -133,14 +129,13 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 		scfg.Platform = part.Platform
 		scfg.TaskSet = sub
 		scfg.Solver = sc.NewSolver()
-		scfg.StateProbe = nil // Sharded emits merged global samples itself
+		scfg.StateProbe = nil // the merged global samples come from probeGlobal
 		eng, err := New(scfg)
 		if err != nil {
 			return nil, err
 		}
 		s.shards = append(s.shards, shardState{eng: eng, sub: part})
 	}
-	s.cfg.StateProbe = globalProbe
 	s.elig = make([][]bool, cfg.TaskSet.Len())
 	for t := range s.elig {
 		ty := cfg.TaskSet.Type(t)
@@ -163,7 +158,7 @@ func NewSharded(cfg Config, sc ShardConfig) (*Sharded, error) {
 // syncLoads refreshes the shard load index from the engines' in-flight
 // counts. Only shards whose count changed since the last sync pay the
 // O(log shards) reposition.
-func (s *Sharded) syncLoads() {
+func (s *sharded) syncLoads() {
 	for si := range s.shards {
 		if load := float64(s.shards[si].eng.InFlight()); s.loads.Load(si) != load {
 			s.loads.Update(si, load)
@@ -176,7 +171,7 @@ func (s *Sharded) syncLoads() {
 // deterministic ascending (load, id) order. The returned shard index is
 // a pure function of the engine state, so replaying a trace reproduces
 // the routing exactly.
-func (s *Sharded) route(typeID int) (int, error) {
+func (s *sharded) route(typeID int) (int, error) {
 	if typeID < 0 || typeID >= len(s.elig) {
 		return 0, fmt.Errorf("engine: route: unknown type %d", typeID)
 	}
@@ -191,10 +186,7 @@ func (s *Sharded) route(typeID int) (int, error) {
 
 // Activate routes one request to a shard and runs its admission there:
 // the one-request epoch closing at the arrival.
-func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
-	if s.single != nil {
-		return s.single.Activate(idx, req)
-	}
+func (s *sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 	outs, err := s.ActivateEpoch(idx, []trace.Request{req}, req.Arrival)
 	if err != nil {
 		return Outcome{}, err
@@ -208,10 +200,7 @@ func (s *Sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 // Shards are independent — separate platforms, task sets, solvers and
 // plans — so concurrent solving is deterministic; outcomes are returned
 // in global request order.
-func (s *Sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
-	if s.single != nil {
-		return s.single.ActivateEpoch(startIdx, reqs, close)
-	}
+func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -296,56 +285,29 @@ func (s *Sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 }
 
 // globalize rewrites a shard-local outcome into global coordinates.
-func (s *Sharded) globalize(out *Outcome, si, globalID int) {
+func (s *sharded) globalize(out *Outcome, si, globalID int) {
 	out.Req = globalID
 	if out.Resource != sched.Unmapped {
 		out.Resource = s.shards[si].sub.GlobalIDs[out.Resource]
 	}
 }
 
-// probeGlobal emits one merged platform-wide StateSample (same package
-// as Engine, so the shard engines' state is read directly).
-func (s *Sharded) probeGlobal(req int) {
+// probeGlobal emits one merged platform-wide StateSample: every shard
+// engine adds its own state through its local-to-global resource map.
+func (s *sharded) probeGlobal(req int) {
 	if s.cfg.StateProbe == nil {
 		return
 	}
 	s.probeRes = zeroedSamples(s.probeRes, s.cfg.Platform.Len())
-	sample := StateSample{
-		Time:      s.Now(),
-		Req:       req,
-		Resources: s.probeRes,
-	}
+	sample := StateSample{Time: s.Now(), Req: req, Resources: s.probeRes}
 	for si := range s.shards {
-		e := s.shards[si].eng
-		sample.Requests += e.res.Accepted + e.res.Rejected
-		sample.Accepted += e.res.Accepted
-		sample.Rejected += e.res.Rejected
-		sample.Finished += e.finished
-		sample.DeadlineMisses += e.res.DeadlineMisses
-		sample.InFlight += len(e.active)
-		ids := s.shards[si].sub.GlobalIDs
-		for _, j := range e.active {
-			if j.Resource == sched.Unmapped {
-				continue
-			}
-			rs := &sample.Resources[ids[j.Resource]]
-			rs.Jobs++
-			if rs.NextDeadline == 0 || j.AbsDeadline < rs.NextDeadline {
-				rs.NextDeadline = j.AbsDeadline
-			}
-		}
-		for _, g := range e.pendingResv {
-			sample.Resources[ids[g.res]].Reserved++
-		}
+		s.shards[si].eng.addState(&sample, s.shards[si].sub.GlobalIDs)
 	}
 	s.cfg.StateProbe(sample)
 }
 
 // AdvanceTo advances every shard (monotone, like Engine.AdvanceTo).
-func (s *Sharded) AdvanceTo(t float64) error {
-	if s.single != nil {
-		return s.single.AdvanceTo(t)
-	}
+func (s *sharded) AdvanceTo(t float64) error {
 	for si := range s.shards {
 		if err := s.shards[si].eng.AdvanceTo(t); err != nil {
 			return err
@@ -355,10 +317,7 @@ func (s *Sharded) AdvanceTo(t float64) error {
 }
 
 // NextWake is the earliest wake time over the shards.
-func (s *Sharded) NextWake() (float64, bool) {
-	if s.single != nil {
-		return s.single.NextWake()
-	}
+func (s *sharded) NextWake() (float64, bool) {
 	best, found := math.Inf(1), false
 	for si := range s.shards {
 		if t, ok := s.shards[si].eng.NextWake(); ok && t < best {
@@ -372,10 +331,7 @@ func (s *Sharded) NextWake() (float64, bool) {
 }
 
 // Drain runs every shard's remaining work out.
-func (s *Sharded) Drain() error {
-	if s.single != nil {
-		return s.single.Drain()
-	}
+func (s *sharded) Drain() error {
 	for si := range s.shards {
 		if err := s.shards[si].eng.Drain(); err != nil {
 			return err
@@ -385,10 +341,7 @@ func (s *Sharded) Drain() error {
 }
 
 // Now is the most advanced shard clock.
-func (s *Sharded) Now() float64 {
-	if s.single != nil {
-		return s.single.Now()
-	}
+func (s *sharded) Now() float64 {
 	now := 0.0
 	for si := range s.shards {
 		if t := s.shards[si].eng.Now(); t > now {
@@ -399,10 +352,7 @@ func (s *Sharded) Now() float64 {
 }
 
 // InFlight sums the shards' active jobs.
-func (s *Sharded) InFlight() int {
-	if s.single != nil {
-		return s.single.InFlight()
-	}
+func (s *sharded) InFlight() int {
 	n := 0
 	for si := range s.shards {
 		n += s.shards[si].eng.InFlight()
@@ -411,18 +361,12 @@ func (s *Sharded) InFlight() int {
 }
 
 // Requests counts activations routed so far.
-func (s *Sharded) Requests() int {
-	if s.single != nil {
-		return s.single.Requests()
-	}
+func (s *sharded) Requests() int {
 	return len(s.routes)
 }
 
 // HasAdaptiveWork reports whether any shard still has active jobs.
-func (s *Sharded) HasAdaptiveWork() bool {
-	if s.single != nil {
-		return s.single.HasAdaptiveWork()
-	}
+func (s *sharded) HasAdaptiveWork() bool {
 	for si := range s.shards {
 		if s.shards[si].eng.HasAdaptiveWork() {
 			return true
@@ -436,10 +380,7 @@ func (s *Sharded) HasAdaptiveWork() bool {
 // and activation order, executed segments return to global resource
 // ids, and the telemetry snapshot is taken once from the shared
 // registry. Idempotent, like Engine.Finalize.
-func (s *Sharded) Finalize() *Result {
-	if s.single != nil {
-		return s.single.Finalize()
-	}
+func (s *sharded) Finalize() *Result {
 	if s.res != nil {
 		return s.res
 	}

@@ -15,8 +15,9 @@ import (
 )
 
 // shardFixture builds a large-platform workload and a fresh sharded
-// engine factory over it.
-func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64, seed uint64) (*trace.Trace, func() *Sharded) {
+// engine factory over it; the factory's argument is the engine's
+// StateProbe (nil for none).
+func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64, seed uint64) (*trace.Trace, func(func(StateSample)) *sharded) {
 	t.Helper()
 	plat, err := platform.Parse(spec)
 	if err != nil {
@@ -34,15 +35,115 @@ func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, func() *Sharded {
-		s, err := NewSharded(Config{Platform: plat, TaskSet: set}, ShardConfig{
+	return tr, func(probe func(StateSample)) *sharded {
+		d, err := NewSharded(Config{Platform: plat, TaskSet: set, StateProbe: probe}, ShardConfig{
 			Shards:    shards,
 			NewSolver: func() core.Solver { return &core.Heuristic{} },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return d.(*sharded)
+	}
+}
+
+// TestNewShardedOneShardIsEngine: with 0 or 1 shards NewSharded returns
+// the bare Engine, its solver built by NewSolver when the Config has
+// none; a negative count is an error.
+func TestNewShardedOneShardIsEngine(t *testing.T) {
+	set, err := task.Generate(platform.Default(), task.DefaultGenConfig(), rng.New(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		var built core.Solver
+		d, err := NewSharded(Config{Platform: platform.Default(), TaskSet: set}, ShardConfig{
+			Shards:    shards,
+			NewSolver: func() core.Solver { built = &core.Heuristic{}; return built },
+		})
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		e, ok := d.(*Engine)
+		if !ok {
+			t.Fatalf("%d shards: NewSharded returned %T, want *Engine", shards, d)
+		}
+		if built == nil || e.cfg.Solver != built {
+			t.Fatalf("%d shards: solver %v not the one NewSolver built", shards, e.cfg.Solver)
+		}
+	}
+	if _, err := NewSharded(Config{Platform: platform.Default(), TaskSet: set, Solver: &core.Heuristic{}}, ShardConfig{Shards: -1}); err == nil {
+		t.Fatal("negative shard count accepted")
+	}
+}
+
+// TestShardedStateSample: at 4 shards every merged sample, taken after
+// each decision, carries the sums of the shard engines' counters, and
+// each global resource reports the owning shard's own jobs, earliest
+// deadline and reservations on its local id.
+func TestShardedStateSample(t *testing.T) {
+	tr, build := shardFixture(t, "16c2g", 4, 120, 0.6, 65)
+	var s *sharded
+	samples, busy := 0, 0
+	s = build(func(got StateSample) {
+		samples++
+		var want StateSample
+		for si := range s.shards {
+			e := s.shards[si].eng
+			want.Accepted += e.res.Accepted
+			want.Rejected += e.res.Rejected
+			want.Finished += e.finished
+			want.DeadlineMisses += e.res.DeadlineMisses
+			want.InFlight += len(e.active)
+		}
+		want.Requests = want.Accepted + want.Rejected
+		if got.Requests != want.Requests || got.Accepted != want.Accepted || got.Rejected != want.Rejected ||
+			got.Finished != want.Finished || got.DeadlineMisses != want.DeadlineMisses || got.InFlight != want.InFlight {
+			t.Fatalf("req %d: counters %+v, shard sums %+v", got.Req, got, want)
+		}
+		if got.Requests != got.Req+1 {
+			t.Fatalf("req %d: sample counts %d decisions", got.Req, got.Requests)
+		}
+		if len(got.Resources) != 18 {
+			t.Fatalf("req %d: %d resource samples, want 18", got.Req, len(got.Resources))
+		}
+		for si := range s.shards {
+			e := s.shards[si].eng
+			for local, g := range s.shards[si].sub.GlobalIDs {
+				var rs ResourceSample
+				for _, j := range e.active {
+					if j.Resource != local {
+						continue
+					}
+					rs.Jobs++
+					if rs.NextDeadline == 0 || j.AbsDeadline < rs.NextDeadline {
+						rs.NextDeadline = j.AbsDeadline
+					}
+				}
+				for _, r := range e.pendingResv {
+					if r.res == local {
+						rs.Reserved++
+					}
+				}
+				if got.Resources[g] != rs {
+					t.Fatalf("req %d: resource %d (shard %d, local %d) sampled %+v, shard state %+v", got.Req, g, si, local, got.Resources[g], rs)
+				}
+				if rs.Jobs > 0 {
+					busy++
+				}
+			}
+		}
+	})
+	for i, req := range tr.Requests {
+		if _, err := s.Activate(i, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if samples != len(tr.Requests) {
+		t.Fatalf("%d samples for %d decisions", samples, len(tr.Requests))
+	}
+	if busy == 0 {
+		t.Fatal("no sample showed a mapped job; fixture exercises nothing")
 	}
 }
 
@@ -51,7 +152,7 @@ func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64,
 // dispatcher's timer depends on at shard boundaries.
 func TestShardedNextWakeIsMin(t *testing.T) {
 	tr, build := shardFixture(t, "16c2g", 4, 60, 1.0, 71)
-	s := build()
+	s := build(nil)
 	sawWake := false
 	for i, req := range tr.Requests {
 		if _, err := s.Activate(i, req); err != nil {
@@ -94,7 +195,7 @@ func TestShardedAdvanceToLateHarmless(t *testing.T) {
 	tr, build := shardFixture(t, "16c2g", 4, 80, 0.8, 81)
 	mid := len(tr.Requests) / 2
 
-	stepped, late := build(), build()
+	stepped, late := build(nil), build(nil)
 	for i, req := range tr.Requests[:mid] {
 		if _, err := stepped.Activate(i, req); err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/faultinject"
 	"predrm/internal/platform"
@@ -90,12 +91,12 @@ type Config struct {
 	// of whole runs instead of an interleaving of concurrent traces; all
 	// other cells keep running in parallel.
 	Tracer *telemetry.Tracer
-	// StateProbe, when non-nil, receives sim.StateSample probes from the
+	// StateProbe, when non-nil, receives engine.StateSample probes from the
 	// same telemetry-collecting cells that attach Tracer, for mounting a
 	// live introspection plane (internal/obs) over a sweep. Probe-attached
 	// cells ride the tracer's serial lane so the plane observes a coherent
 	// sequence of whole runs.
-	StateProbe func(sim.StateSample)
+	StateProbe func(engine.StateSample)
 }
 
 // DefaultConfig returns a laptop-scale configuration: large enough for the
@@ -130,16 +131,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// engine names a mapping solver.
-type engine int
+// solverKind names a mapping solver.
+type solverKind int
 
 const (
-	engineExact engine = iota // the paper's "MILP" reference
+	engineExact solverKind = iota // the paper's "MILP" reference
 	engineHeuristic
 	engineGreedy // ablation A1
 )
 
-func (e engine) String() string {
+func (e solverKind) String() string {
 	switch e {
 	case engineExact:
 		return "MILP"
@@ -157,7 +158,7 @@ type variant struct {
 	// name labels columns.
 	name string
 	// engine selects the solver.
-	engine engine
+	engine solverKind
 	// predict enables the oracle with the given degradation; nil = off.
 	predict *predict.OracleConfig
 	// overheadCoeff, when non-zero, sets the oracle overhead to
@@ -242,7 +243,7 @@ func (g *grid) misses() int {
 
 // newSolver builds a fresh solver per simulation (solvers keep scratch
 // state and are not safe for concurrent sharing).
-func (c *Config) newSolver(e engine) core.Solver {
+func (c *Config) newSolver(e solverKind) core.Solver {
 	switch e {
 	case engineExact:
 		return &exact.Optimal{NodeLimit: c.ExactNodeLimit, WarmStart: c.WarmStart}
@@ -372,7 +373,7 @@ feed:
 
 // runOne simulates a single (trace, variant) cell.
 func runOne(cfg Config, plat *platform.Platform, set *task.Set, tr *trace.Trace, traceSeed uint64, v variant) (traceResult, error) {
-	scfg := sim.Config{
+	scfg := engine.Config{
 		Platform:  plat,
 		TaskSet:   set,
 		Solver:    cfg.newSolver(v.engine),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -76,7 +77,7 @@ func TestMechanismAdmissionPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(sim.Config{Platform: plat, TaskSet: set, Solver: cs, Predictor: o}, tr)
+		res, err := sim.Run(engine.Config{Platform: plat, TaskSet: set, Solver: cs, Predictor: o}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -33,7 +34,7 @@ func TestMechanismSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := sim.Config{Platform: plat, TaskSet: set, Solver: &core.Heuristic{}}
+			cfg := engine.Config{Platform: plat, TaskSet: set, Solver: &core.Heuristic{}}
 			off, err := sim.Run(cfg, tr)
 			if err != nil {
 				t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 	"fmt"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/faultinject"
 	"predrm/internal/metrics"
-	"predrm/internal/sim"
 	"predrm/internal/telemetry"
 	"predrm/internal/trace"
 )
@@ -26,7 +26,7 @@ import (
 // injected *inside* the chain so they degrade admission instead of
 // aborting the run; the trace-derived plan seed keeps the whole grid
 // deterministic in Config.Seed.
-func wireResilience(scfg *sim.Config, v variant, traceSeed uint64) {
+func wireResilience(scfg *engine.Config, v variant, traceSeed uint64) {
 	r := v.resilience
 	var trc *telemetry.Tracer
 	if v.telemetry {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/metrics"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
@@ -112,11 +113,11 @@ func ScaleSweep(cfg Config, specs []string) (*ScaleSweepResult, error) {
 					return nil, err
 				}
 				reg := telemetry.NewRegistry()
-				r, err := sim.RunSharded(sim.Config{
+				r, err := sim.RunSharded(engine.Config{
 					Platform: plat,
 					TaskSet:  set,
 					Metrics:  reg,
-				}, sim.ShardConfig{
+				}, engine.ShardConfig{
 					Shards:      mode.shards,
 					BatchWindow: mode.window,
 					NewSolver: func() core.Solver {

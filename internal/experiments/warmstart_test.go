@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
@@ -82,7 +83,7 @@ func TestWarmStartMatchesColdSimTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(solver core.Solver) []byte {
-		res, err := sim.Run(sim.Config{Platform: plat, TaskSet: set, Solver: solver}, tr)
+		res, err := sim.Run(engine.Config{Platform: plat, TaskSet: set, Solver: solver}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,7 +258,7 @@ func ArrivingID(pr *sched.Problem) int {
 	return id
 }
 
-// Hook returns a sim.Config.OverheadHook injecting planned latency
+// Hook returns an engine.Config.OverheadHook injecting planned latency
 // spikes: on planned requests the decision is delayed by LatencySpike
 // simulated time units. tracer and reg may be nil.
 func (p *Plan) Hook(tracer *telemetry.Tracer, reg *telemetry.Registry) func(req int, arrival float64) float64 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -91,7 +92,7 @@ func TestRollDeterministicAndStreamIndependent(t *testing.T) {
 // faultFixture builds a small deterministic simulation with the hardened
 // chain: a faulty exact primary falling back to the heuristic, predictor
 // and latency faults active.
-func faultFixture(t testing.TB, plan *Plan, tracer *telemetry.Tracer, reg *telemetry.Registry) (sim.Config, *trace.Trace) {
+func faultFixture(t testing.TB, plan *Plan, tracer *telemetry.Tracer, reg *telemetry.Registry) (engine.Config, *trace.Trace) {
 	t.Helper()
 	plat := platform.Default()
 	tcfg := task.DefaultGenConfig()
@@ -117,7 +118,7 @@ func faultFixture(t testing.TB, plan *Plan, tracer *telemetry.Tracer, reg *telem
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Platform: plat,
 		TaskSet:  set,
 		Solver: &core.BudgetedSolver{

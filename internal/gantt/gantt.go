@@ -16,28 +16,28 @@ import (
 	"sort"
 	"strings"
 
+	"predrm/internal/engine"
 	"predrm/internal/platform"
-	"predrm/internal/sim"
 )
 
 // Chart is a renderable schedule.
 type Chart struct {
 	plat *platform.Platform
-	segs []sim.ExecSegment
+	segs []engine.ExecSegment
 	from float64
 	to   float64
 }
 
 // New builds a chart over segments. The time range is inferred from the
 // segments; it errors on an empty or malformed input.
-func New(plat *platform.Platform, segs []sim.ExecSegment) (*Chart, error) {
+func New(plat *platform.Platform, segs []engine.ExecSegment) (*Chart, error) {
 	if plat == nil {
 		return nil, errors.New("gantt: nil platform")
 	}
 	if len(segs) == 0 {
 		return nil, errors.New("gantt: no segments")
 	}
-	c := &Chart{plat: plat, segs: append([]sim.ExecSegment(nil), segs...)}
+	c := &Chart{plat: plat, segs: append([]engine.ExecSegment(nil), segs...)}
 	c.from, c.to = segs[0].Start, segs[0].End
 	for _, s := range segs {
 		if s.End < s.Start {
@@ -66,8 +66,8 @@ func New(plat *platform.Platform, segs []sim.ExecSegment) (*Chart, error) {
 // outside it are dropped, segments straddling a boundary are trimmed. The
 // input is not modified. Renderers use it to chart an opening window of a
 // long schedule.
-func Clip(segs []sim.ExecSegment, from, to float64) []sim.ExecSegment {
-	var out []sim.ExecSegment
+func Clip(segs []engine.ExecSegment, from, to float64) []engine.ExecSegment {
+	var out []engine.ExecSegment
 	for _, s := range segs {
 		if s.End <= from || s.Start >= to {
 			continue

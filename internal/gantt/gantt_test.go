@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -23,17 +24,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(plat, nil); err == nil {
 		t.Error("accepted empty segments")
 	}
-	if _, err := New(plat, []sim.ExecSegment{{Resource: 9, Start: 0, End: 1}}); err == nil {
+	if _, err := New(plat, []engine.ExecSegment{{Resource: 9, Start: 0, End: 1}}); err == nil {
 		t.Error("accepted unknown resource")
 	}
-	if _, err := New(plat, []sim.ExecSegment{{Resource: 0, Start: 2, End: 1}}); err == nil {
+	if _, err := New(plat, []engine.ExecSegment{{Resource: 0, Start: 2, End: 1}}); err == nil {
 		t.Error("accepted inverted segment")
 	}
 }
 
 func TestRenderAndLegend(t *testing.T) {
 	plat := platform.Motivational()
-	segs := []sim.ExecSegment{
+	segs := []engine.ExecSegment{
 		{Resource: 0, JobID: 0, Start: 0, End: 8},
 		{Resource: 2, JobID: 1, Start: 1, End: 4},
 	}
@@ -65,7 +66,7 @@ func TestRenderAndLegend(t *testing.T) {
 
 func TestRenderDefaultColumns(t *testing.T) {
 	plat := platform.Motivational()
-	c, err := New(plat, []sim.ExecSegment{{Resource: 0, JobID: 3, Start: 0, End: 1}})
+	c, err := New(plat, []engine.ExecSegment{{Resource: 0, JobID: 3, Start: 0, End: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRenderDefaultColumns(t *testing.T) {
 
 func TestWriteTSV(t *testing.T) {
 	plat := platform.Motivational()
-	c, err := New(plat, []sim.ExecSegment{
+	c, err := New(plat, []engine.ExecSegment{
 		{Resource: 2, JobID: 7, Start: 1.5, End: 2.25},
 	})
 	if err != nil {
@@ -98,7 +99,7 @@ func TestWriteTSV(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	plat := platform.Motivational()
-	c, err := New(plat, []sim.ExecSegment{
+	c, err := New(plat, []engine.ExecSegment{
 		{Resource: 0, JobID: 0, Start: 0, End: 5},
 		{Resource: 2, JobID: 1, Start: 0, End: 10},
 	})
@@ -131,7 +132,7 @@ func TestEndToEndFromSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := sim.Run(engine.Config{
 		Platform:        plat,
 		TaskSet:         set,
 		Solver:          &core.Heuristic{},

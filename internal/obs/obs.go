@@ -34,7 +34,7 @@
 //	/debug/pprof  stdlib profiling handlers
 //
 // The plane is clocked by the simulator's virtual time, not wall time:
-// sim.Config.StateProbe hands it a StateSample at every admission
+// engine.Config.StateProbe hands it a StateSample at every admission
 // decision, and a Snapshotter throttles state publication to a
 // virtual-time cadence. The same plane therefore serves identically under
 // the discrete-event simulator today and under wall-clock serving later —
@@ -53,7 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"predrm/internal/sim"
+	"predrm/internal/engine"
 	"predrm/internal/telemetry"
 	"predrm/internal/traceview"
 )
@@ -87,7 +87,7 @@ type Plane struct {
 	reg     *telemetry.Registry // plane-owned instruments (slo.*, tracer gauges)
 	slo     *SLO
 	snap    Snapshotter
-	state   atomic.Pointer[sim.StateSample]
+	state   atomic.Pointer[engine.StateSample]
 	started time.Time
 	mux     *http.ServeMux
 }
@@ -116,16 +116,16 @@ func NewPlane(opts Options) *Plane {
 	return p
 }
 
-// Probe is the sim.Config.StateProbe hook: it feeds the SLO windows with
+// Probe is the engine.Config.StateProbe hook: it feeds the SLO windows with
 // every sample and publishes the RM state on the snapshotter's
 // virtual-time cadence (always for the final Req == -1 sample).
-func (p *Plane) Probe(s sim.StateSample) {
+func (p *Plane) Probe(s engine.StateSample) {
 	p.slo.Record(s.Time, s.Requests, s.Rejected, s.Finished, s.DeadlineMisses)
 	if s.Req >= 0 && !p.snap.Due(s.Time) {
 		return
 	}
 	// The simulator may reuse the sample's backing storage; keep a copy.
-	s.Resources = append([]sim.ResourceSample(nil), s.Resources...)
+	s.Resources = append([]engine.ResourceSample(nil), s.Resources...)
 	p.state.Store(&s)
 }
 
@@ -185,7 +185,7 @@ func (p *Plane) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Driver snapshot first, plane-owned second: on name collisions
-	// (telemetry.tracer.dropped is also set by sim.Run at run end) the
+	// (telemetry.tracer.dropped is also set by Engine.Finalize at run end) the
 	// plane's live reading wins in the merge.
 	snap := telemetry.Merge(p.driverSnapshot(), p.ownSnapshot())
 	w.Header().Set("Content-Type", ContentType)
@@ -200,7 +200,7 @@ type Status struct {
 	// UptimeSeconds is wall-clock time since the plane was built.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// RM is the last published state sample (null before the first probe).
-	RM *sim.StateSample `json:"rm"`
+	RM *engine.StateSample `json:"rm"`
 	// SLO carries the current burn-rate readings.
 	SLO SLOReport `json:"slo"`
 	// FeasCache summarises the exact solver's cross-activation pruning

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
@@ -25,7 +26,7 @@ import (
 
 // fixture builds a small deterministic simulation with the exact solver so
 // the FeasCache and solver counters the plane surfaces are live.
-func fixture(t testing.TB) (sim.Config, *trace.Trace) {
+func fixture(t testing.TB) (engine.Config, *trace.Trace) {
 	t.Helper()
 	plat := platform.Default()
 	tcfg := task.DefaultGenConfig()
@@ -51,7 +52,7 @@ func fixture(t testing.TB) (sim.Config, *trace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Config{
+	return engine.Config{
 		Platform:   plat,
 		TaskSet:    set,
 		Solver:     &exact.Optimal{},
@@ -396,14 +397,14 @@ func TestPlaneProbeConcurrentStatusz(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		resources := []sim.ResourceSample{{Jobs: 1}}
+		resources := []engine.ResourceSample{{Jobs: 1}}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			plane.Probe(sim.StateSample{
+			plane.Probe(engine.StateSample{
 				Time: float64(i), Req: i, Requests: i + 1, Resources: resources,
 			})
 			reg.Counter("sim.reject_reason." + telemetry.ReasonNoFeasibleMapping).Add(1)
@@ -494,13 +495,13 @@ func TestSnapshotterTimeRegression(t *testing.T) {
 // published copy must not alias the caller's Resources slice.
 func TestPlaneProbePublishes(t *testing.T) {
 	plane := NewPlane(Options{SnapshotInterval: 100})
-	resources := []sim.ResourceSample{{Jobs: 1}}
-	plane.Probe(sim.StateSample{Time: 0, Req: 0, Resources: resources})
-	plane.Probe(sim.StateSample{Time: 1, Req: 1, Requests: 2, Resources: resources})
+	resources := []engine.ResourceSample{{Jobs: 1}}
+	plane.Probe(engine.StateSample{Time: 0, Req: 0, Resources: resources})
+	plane.Probe(engine.StateSample{Time: 1, Req: 1, Requests: 2, Resources: resources})
 	if got := plane.state.Load(); got.Req != 0 {
 		t.Fatalf("interval-suppressed sample was published: %+v", got)
 	}
-	plane.Probe(sim.StateSample{Time: 2, Req: -1, Requests: 2, Resources: resources})
+	plane.Probe(engine.StateSample{Time: 2, Req: -1, Requests: 2, Resources: resources})
 	got := plane.state.Load()
 	if got.Req != -1 || got.Requests != 2 {
 		t.Fatalf("final sample not published: %+v", got)

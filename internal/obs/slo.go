@@ -42,7 +42,7 @@ func (c SLOConfig) withDefaults() SLOConfig {
 }
 
 // SLO computes rolling error-budget burn rates from the cumulative
-// admission counters carried by sim.StateSample probes. A burn rate is
+// admission counters carried by engine.StateSample probes. A burn rate is
 // the observed bad-event rate over a window divided by the budgeted rate:
 // 1.0 means the budget is being consumed exactly as provisioned, >1 means
 // the budget will be exhausted early. Safe for concurrent use (the

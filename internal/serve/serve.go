@@ -62,12 +62,13 @@ type Config struct {
 	// solver, optional tracer/metrics/provenance). A StateProbe set here
 	// is chained after the plane's.
 	Engine engine.Config
-	// Shard, when Shard.Shards > 1, runs the service on an engine.Sharded
-	// scale-out engine instead of a bare Engine: arrivals are routed to
-	// platform shards by load and type affinity (DESIGN.md §12). The
-	// sharded engine's feature restrictions apply (no tracer, provenance,
-	// predictor, critical tasks or overhead hook). Shards <= 1 keeps the
-	// single-engine path.
+	// Shard selects the engine engine.NewSharded builds. Shards 0 or 1
+	// is the bare Engine (Shard.NewSolver supplies Engine.Solver when
+	// that is nil); more runs the service on the sharded scale-out
+	// engine, which routes arrivals to platform shards by load and type
+	// affinity (DESIGN.md §12) and refuses a tracer, provenance, a
+	// predictor, critical tasks and an overhead hook. The server admits
+	// one request at a time, so BatchWindow is ignored.
 	Shard engine.ShardConfig
 	// Clock drives the server; nil means a WallClock at speed 1 started
 	// when New is called. A *ManualClock switches the server to step mode:
@@ -129,13 +130,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	var eng engine.Driver
-	var err error
-	if cfg.Shard.Shards > 1 {
-		eng, err = engine.NewSharded(cfg.Engine, cfg.Shard)
-	} else {
-		eng, err = engine.New(cfg.Engine)
-	}
+	eng, err := engine.NewSharded(cfg.Engine, cfg.Shard)
 	if err != nil {
 		return nil, err
 	}

@@ -150,6 +150,74 @@ func TestServeDifferentialMatchesSim(t *testing.T) {
 	}
 }
 
+// TestServeShardedMatchesSim: the server at two shards (step mode, the
+// clock pinned to each arrival) decides every request as sim.RunSharded
+// does at two shards with window 0, and finalises the same Result JSON.
+func TestServeShardedMatchesSim(t *testing.T) {
+	plat, err := platform.Parse("8c2g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := trace.DefaultGenConfig(trace.VeryTight)
+	gc.Length = 120
+	gc.InterarrivalMean = 1.5
+	gc.InterarrivalStd = 0.5
+	tr, err := trace.Generate(set, gc, rng.New(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCfg := func() (engine.Config, engine.ShardConfig) {
+		return engine.Config{Platform: plat, TaskSet: set},
+			engine.ShardConfig{Shards: 2, NewSolver: func() core.Solver { return &core.Heuristic{} }}
+	}
+	simCfg, sc := newCfg()
+	simRes, err := sim.RunSharded(simCfg, sc, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srvCfg, sc := newCfg()
+	clock := &ManualClock{}
+	srv, err := New(Config{Engine: srvCfg, Shard: sc, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range tr.Requests {
+		clock.Set(req.Arrival)
+		rec, code := postRequest(t, srv.URL(), req.Type, req.Deadline)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, code)
+		}
+		if rec.ID != i || rec.Arrival != req.Arrival {
+			t.Fatalf("request %d: got id %d arrival %v, want arrival %v", i, rec.ID, rec.Arrival, req.Arrival)
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for i, rec := range srv.Decisions() {
+		j := simRes.Jobs[i]
+		if rec.Accepted != j.Accepted || rec.Arrival != j.Arrival {
+			t.Fatalf("decision %d diverges from sim record: %+v vs %+v", i, rec, j)
+		}
+	}
+	simJSON, _ := json.Marshal(simRes)
+	srvJSON, _ := json.Marshal(srv.Result())
+	if !bytes.Equal(simJSON, srvJSON) {
+		t.Fatalf("results diverge:\nsim:   %s\nserve: %s", simJSON, srvJSON)
+	}
+	if simRes.Requests != len(tr.Requests) || simRes.Accepted == 0 || simRes.Rejected == 0 {
+		t.Fatalf("degenerate differential run: %d requests, %d accepted, %d rejected", simRes.Requests, simRes.Accepted, simRes.Rejected)
+	}
+}
+
 // TestServeWallClockDrain runs the server against a fast wall clock,
 // submits a paced request stream over HTTP, and checks graceful
 // shutdown: every in-flight activation drains, no accepted job misses

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/telemetry"
 	"predrm/internal/trace"
 )
@@ -66,7 +67,7 @@ func TestBatchEpochGolden(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{})
 	cfg.Tracer = tracer
 	cfg.RecordExecution = true
-	res, err := RunSharded(cfg, ShardConfig{Shards: 1, BatchWindow: 1.5}, tr)
+	res, err := RunSharded(cfg, engine.ShardConfig{Shards: 1, BatchWindow: 1.5}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +86,8 @@ func TestBatchEpochGolden(t *testing.T) {
 // shards (routing plus per-shard solving) by its Result.
 func TestShardedWindowZeroGolden(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "16c2g", trace.VeryTight, 200, 1.0, 21)
-	res, err := RunSharded(Config{Platform: plat, TaskSet: set, RecordExecution: true},
-		ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}, tr)
+	res, err := RunSharded(engine.Config{Platform: plat, TaskSet: set, RecordExecution: true},
+		engine.ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

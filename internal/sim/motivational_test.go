@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/task"
@@ -23,7 +24,7 @@ func TestMotivationalEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Config{Platform: set.Platform, TaskSet: set, Solver: &core.Heuristic{}, Audit: true}
+	cfg := engine.Config{Platform: set.Platform, TaskSet: set, Solver: &core.Heuristic{}, Audit: true}
 	off, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestReservationSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := Run(Config{
+	planned, err := Run(engine.Config{
 		Platform:  set.Platform,
 		TaskSet:   set,
 		Solver:    &core.Heuristic{},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
 	"predrm/internal/sched"
@@ -58,7 +59,7 @@ func BenchmarkShardedRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc := ShardConfig{
+			sc := engine.ShardConfig{
 				Shards:      tc.shards,
 				BatchWindow: 4 * ia,
 				NewSolver: func() core.Solver {
@@ -67,7 +68,7 @@ func BenchmarkShardedRun(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RunSharded(Config{Platform: plat, TaskSet: set}, sc, tr)
+				res, err := RunSharded(engine.Config{Platform: plat, TaskSet: set}, sc, tr)
 				if err != nil {
 					b.Fatal(err)
 				}

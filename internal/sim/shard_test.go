@@ -38,21 +38,39 @@ func scaleWorkload(t *testing.T, spec string, tight trace.Tightness, length int,
 	return plat, set, tr
 }
 
+// runUnsharded is the one-shard differentials' reference side: a loop
+// of its own over a bare engine.New, so the comparison keeps two code
+// paths although Run is RunSharded at one shard.
+func runUnsharded(t *testing.T, cfg engine.Config, tr *trace.Trace) *engine.Result {
+	t.Helper()
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range tr.Requests {
+		if _, err := eng.Activate(i, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return eng.Finalize()
+}
+
 // TestShardedOneShardMatchesUnsharded pins the scale-out engine's
 // degenerate configuration to the paper path: one shard, zero batch
 // window, same trace — the Result JSON and the JSONL telemetry stream
-// must match sim.Run to the byte (only the measured wall_ns of each
-// solver call is real time and is normalised away).
+// must match a bare Engine's activation loop to the byte (only the
+// measured wall_ns of each solver call is real time and is normalised
+// away).
 func TestShardedOneShardMatchesUnsharded(t *testing.T) {
 	set, tr := testWorkload(t, trace.VeryTight, 150, 4, 11)
 
 	var plainTrace bytes.Buffer
 	plainCfg := baseConfig(set)
 	plainCfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &plainTrace})
-	plainRes, err := Run(plainCfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainRes := runUnsharded(t, plainCfg, tr)
 	if err := plainCfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +79,7 @@ func TestShardedOneShardMatchesUnsharded(t *testing.T) {
 	shardCfg := baseConfig(set)
 	shardCfg.Solver = nil // built through the factory, as a sharded driver would
 	shardCfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &shardTrace})
-	shardRes, err := RunSharded(shardCfg, ShardConfig{
+	shardRes, err := RunSharded(shardCfg, engine.ShardConfig{
 		Shards:    1,
 		NewSolver: func() core.Solver { return &core.Heuristic{} },
 	}, tr)
@@ -88,17 +106,15 @@ func TestShardedOneShardMatchesUnsharded(t *testing.T) {
 // TestShardedOneShardMatchesUnshardedGolden runs the differential on
 // the golden-trace fixture workload — the full-feature configuration
 // (budgeted solver chain, oracle predictor, provenance, tracer) that a
-// sharded engine refuses at S > 1 but must carry untouched at S = 1 via
-// full delegation. Result JSON and the JSONL telemetry stream must
-// match sim.Run to the byte (wall_ns normalised, as in the golden test).
+// sharded engine refuses at S > 1 but must carry untouched at S = 1.
+// Result JSON and the JSONL telemetry stream must match a bare Engine's
+// activation loop to the byte (wall_ns normalised, as in the golden
+// test).
 func TestShardedOneShardMatchesUnshardedGolden(t *testing.T) {
 	var plainTrace bytes.Buffer
 	plainCfg, tr := telemetryFixture(t)
 	plainCfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &plainTrace})
-	plainRes, err := Run(plainCfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainRes := runUnsharded(t, plainCfg, tr)
 	if err := plainCfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +122,7 @@ func TestShardedOneShardMatchesUnshardedGolden(t *testing.T) {
 	var shardTrace bytes.Buffer
 	shardCfg, _ := telemetryFixture(t) // fresh solver chain, same workload
 	shardCfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &shardTrace})
-	shardRes, err := RunSharded(shardCfg, ShardConfig{Shards: 1}, tr)
+	shardRes, err := RunSharded(shardCfg, engine.ShardConfig{Shards: 1}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +151,10 @@ func TestShardedOneShardMatchesUnshardedGolden(t *testing.T) {
 // what that path decides.
 func TestBatchEpochWindowZeroMatchesOneByOne(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "16c2g", trace.VeryTight, 200, 1.0, 21)
-	newCfg := func() Config {
-		return Config{Platform: plat, TaskSet: set}
+	newCfg := func() engine.Config {
+		return engine.Config{Platform: plat, TaskSet: set}
 	}
-	sc := ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}
+	sc := engine.ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}
 
 	oneByOne, err := RunSharded(newCfg(), sc, tr)
 	if err != nil {
@@ -178,13 +194,13 @@ func TestBatchEpochWindowZeroMatchesOneByOne(t *testing.T) {
 // byte-identical Results.
 func TestShardedRunDeterministic(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "64c8g", trace.VeryTight, 300, 0.5, 31)
-	sc := ShardConfig{
+	sc := engine.ShardConfig{
 		Shards:      4,
 		BatchWindow: 2.0,
 		NewSolver:   func() core.Solver { return &core.Heuristic{} },
 	}
 	run := func() []byte {
-		res, err := RunSharded(Config{Platform: plat, TaskSet: set}, sc, tr)
+		res, err := RunSharded(engine.Config{Platform: plat, TaskSet: set}, sc, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +227,11 @@ func TestShardedRunDeterministic(t *testing.T) {
 // account for every request; acceptance may differ from one-by-one.
 func TestShardedBatchingTradesDecisions(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "32c4g", trace.VeryTight, 250, 0.8, 41)
-	newSC := func(window float64) ShardConfig {
-		return ShardConfig{Shards: 4, BatchWindow: window, NewSolver: func() core.Solver { return &core.Heuristic{} }}
+	newSC := func(window float64) engine.ShardConfig {
+		return engine.ShardConfig{Shards: 4, BatchWindow: window, NewSolver: func() core.Solver { return &core.Heuristic{} }}
 	}
 	for _, window := range []float64{0, 1.5, 5} {
-		res, err := RunSharded(Config{Platform: plat, TaskSet: set}, newSC(window), tr)
+		res, err := RunSharded(engine.Config{Platform: plat, TaskSet: set}, newSC(window), tr)
 		if err != nil {
 			t.Fatalf("window %v: %v", window, err)
 		}
@@ -232,19 +248,19 @@ func TestShardedBatchingTradesDecisions(t *testing.T) {
 // inherently global fail loudly instead of getting per-shard semantics.
 func TestShardedRejectsGlobalFeatures(t *testing.T) {
 	plat, set, tr := scaleWorkload(t, "16c2g", trace.VeryTight, 10, 5, 51)
-	sc := ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}
+	sc := engine.ShardConfig{Shards: 4, NewSolver: func() core.Solver { return &core.Heuristic{} }}
 
-	cfg := Config{Platform: plat, TaskSet: set}
+	cfg := engine.Config{Platform: plat, TaskSet: set}
 	cfg.Tracer = telemetry.NewTracer(telemetry.TracerOptions{Sink: &bytes.Buffer{}})
 	if _, err := RunSharded(cfg, sc, tr); err == nil {
 		t.Fatal("tracer accepted on a multi-shard engine")
 	}
-	cfg = Config{Platform: plat, TaskSet: set, Provenance: true}
+	cfg = engine.Config{Platform: plat, TaskSet: set, Provenance: true}
 	if _, err := RunSharded(cfg, sc, tr); err == nil {
 		t.Fatal("provenance accepted on a multi-shard engine")
 	}
-	cfg = Config{Platform: plat, TaskSet: set}
-	if _, err := RunSharded(cfg, ShardConfig{Shards: 4}, tr); err == nil {
+	cfg = engine.Config{Platform: plat, TaskSet: set}
+	if _, err := RunSharded(cfg, engine.ShardConfig{Shards: 4}, tr); err == nil {
 		t.Fatal("missing NewSolver accepted on a multi-shard engine")
 	}
 }

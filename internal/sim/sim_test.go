@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
@@ -31,8 +33,8 @@ func testWorkload(t *testing.T, tight trace.Tightness, length int, meanIA float6
 	return set, tr
 }
 
-func baseConfig(set *task.Set) Config {
-	return Config{
+func baseConfig(set *task.Set) engine.Config {
+	return engine.Config{
 		Platform: platform.Default(),
 		TaskSet:  set,
 		Solver:   &core.Heuristic{},
@@ -305,7 +307,7 @@ func TestMarkovPredictorRuns(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	set, tr := testWorkload(t, trace.VeryTight, 10, 5, 12)
-	bad := []Config{
+	bad := []engine.Config{
 		{},
 		{Platform: platform.Default()},
 		{Platform: platform.Default(), TaskSet: set},
@@ -318,6 +320,17 @@ func TestConfigValidation(t *testing.T) {
 	// Invalid trace.
 	if _, err := Run(baseConfig(set), &trace.Trace{}); err == nil {
 		t.Error("Run accepted empty trace")
+	}
+	// A nil trace is a named error on both entry points, and the
+	// configuration is checked first.
+	if _, err := Run(baseConfig(set), nil); !errors.Is(err, trace.ErrNilTrace) {
+		t.Errorf("Run(nil trace) = %v, want %v", err, trace.ErrNilTrace)
+	}
+	if _, err := RunSharded(baseConfig(set), engine.ShardConfig{BatchWindow: 1}, nil); !errors.Is(err, trace.ErrNilTrace) {
+		t.Errorf("RunSharded(nil trace) = %v, want %v", err, trace.ErrNilTrace)
+	}
+	if _, err := Run(engine.Config{}, nil); err == nil || errors.Is(err, trace.ErrNilTrace) {
+		t.Errorf("Run(invalid config, nil trace) = %v, want the config error", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -26,7 +27,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // chain around Algorithm 1 with provenance on, so every decision event
 // carries both candidate verdicts and stage hops (behaviorally identical
 // to the bare heuristic).
-func telemetryFixture(t testing.TB) (Config, *trace.Trace) {
+func telemetryFixture(t testing.TB) (engine.Config, *trace.Trace) {
 	t.Helper()
 	plat := platform.Default()
 	tcfg := task.DefaultGenConfig()
@@ -52,7 +53,7 @@ func telemetryFixture(t testing.TB) (Config, *trace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
+	return engine.Config{
 		Platform: plat,
 		TaskSet:  set,
 		Solver: &core.BudgetedSolver{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/platform"
 	"predrm/internal/rng"
@@ -115,7 +116,7 @@ func TestStaticEndToEndWeakerThanDynamic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.Config{Platform: plat, TaskSet: set, Solver: New(BuildTable(set))}
+		cfg := engine.Config{Platform: plat, TaskSet: set, Solver: New(BuildTable(set))}
 		rs, err := sim.Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)

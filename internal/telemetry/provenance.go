@@ -10,7 +10,7 @@ import "math"
 // placed in, the branch-and-bound effort of the exact path, and which
 // standing jobs the decision remapped.
 //
-// Recording is opt-in (sim.Config.Provenance) and arena-backed: solvers
+// Recording is opt-in (engine.Config.Provenance) and arena-backed: solvers
 // append into a ProvRecorder whose slices are reset — not reallocated —
 // every activation, and the simulator snapshots the arena into the emitted
 // decision event. With no recorder attached every hook is a nil-receiver

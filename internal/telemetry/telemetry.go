@@ -95,7 +95,7 @@ const (
 	EvFaultInjected EventType = "fault_injected"
 	// EvDecision: the per-activation decision-provenance record, emitted
 	// after the admit/reject event of the same request when
-	// sim.Config.Provenance is on. Req/Task are the request; Res is the
+	// engine.Config.Provenance is on. Req/Task are the request; Res is the
 	// admitted resource or -1; Value is the decision energy when admitted;
 	// Reason repeats the admit/reject reason; Prov carries the full causal
 	// record (solver-chain hops, candidate verdicts, regret picks, B&B

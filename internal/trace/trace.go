@@ -67,8 +67,14 @@ func (t *Trace) MeanInterarrival() float64 {
 	return span / float64(len(t.Requests)-1)
 }
 
+// ErrNilTrace rejects a nil *Trace where a request stream is required.
+var ErrNilTrace = errors.New("trace: nil trace")
+
 // Validate checks ordering and referential integrity against a task set.
 func (t *Trace) Validate(ts *task.Set) error {
+	if t == nil {
+		return ErrNilTrace
+	}
 	if len(t.Requests) == 0 {
 		return errors.New("trace: empty trace")
 	}

@@ -167,6 +167,10 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("%+v: Validate = %v, want %v", c.req, err, c.want)
 		}
 	}
+	var nilTrace *Trace
+	if err := nilTrace.Validate(ts); !errors.Is(err, ErrNilTrace) {
+		t.Errorf("nil trace: Validate = %v, want %v", err, ErrNilTrace)
+	}
 }
 
 func TestGenConfigValidate(t *testing.T) {

@@ -17,7 +17,7 @@ type Summary struct {
 	// RejectionPct is the rejected share of decided requests in percent.
 	RejectionPct float64
 	// Energy attribution; TotalEnergy = ExecEnergy + MigrationEnergy
-	// (critical consumption is reported separately, as in sim.Result).
+	// (critical consumption is reported separately, as in engine.Result).
 	ExecEnergy, MigrationEnergy, CriticalEnergy, TotalEnergy float64
 	Migrations                                               int
 	ResvPlanned, ResvHonoured                                int

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"predrm/internal/core"
+	"predrm/internal/engine"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
@@ -20,7 +21,7 @@ import (
 // sim package's golden test) and returns both the simulator's result and
 // the decoded event stream, so trace-derived numbers can be checked
 // against ground truth.
-func runTraced(t *testing.T, predictive bool) (*sim.Result, *Decoded) {
+func runTraced(t *testing.T, predictive bool) (*engine.Result, *Decoded) {
 	t.Helper()
 	plat := platform.Default()
 	tcfg := task.DefaultGenConfig()
@@ -38,7 +39,7 @@ func runTraced(t *testing.T, predictive bool) (*sim.Result, *Decoded) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Platform: plat,
 		TaskSet:  set,
 		Solver:   &core.Heuristic{},

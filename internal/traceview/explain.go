@@ -69,7 +69,7 @@ func WriteExplanation(w io.Writer, x *Explanation) error {
 	pr := x.Prov
 	if pr == nil {
 		p("\nno provenance record in the trace (record with provenance enabled\n")
-		p("— sim.Config.Provenance or rmsim -provenance — for the full causal chain)\n")
+		p("— engine.Config.Provenance or rmsim -provenance — for the full causal chain)\n")
 		return err
 	}
 	if d := o.Decision; d != nil && o.Admitted && d.Value > 0 {

@@ -4,7 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"predrm/internal/sim"
+	"predrm/internal/engine"
 	"predrm/internal/telemetry"
 )
 
@@ -323,13 +323,13 @@ func (tl *Timeline) Slacks() []float64 {
 
 // ExecSegments converts the execution intervals into the simulator's
 // segment type for gantt rendering.
-func (tl *Timeline) ExecSegments() []sim.ExecSegment {
-	var segs []sim.ExecSegment
+func (tl *Timeline) ExecSegments() []engine.ExecSegment {
+	var segs []engine.ExecSegment
 	for _, iv := range tl.Intervals {
 		if iv.Kind != IntervalExec || iv.End <= iv.Start {
 			continue
 		}
-		segs = append(segs, sim.ExecSegment{
+		segs = append(segs, engine.ExecSegment{
 			Resource: iv.Resource, JobID: iv.Job, Start: iv.Start, End: iv.End,
 		})
 	}

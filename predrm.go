@@ -3,6 +3,7 @@ package predrm
 import (
 	"predrm/internal/core"
 	"predrm/internal/critical"
+	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/experiments"
 	"predrm/internal/gantt"
@@ -164,11 +165,11 @@ func NewTwoPhase(alpha float64) InterarrivalEstimator { return predict.NewTwoPha
 // Simulation.
 type (
 	// SimConfig assembles one simulation.
-	SimConfig = sim.Config
+	SimConfig = engine.Config
 	// SimResult aggregates one trace's outcomes.
-	SimResult = sim.Result
+	SimResult = engine.Result
 	// JobRecord is the per-request outcome.
-	JobRecord = sim.JobRecord
+	JobRecord = engine.JobRecord
 )
 
 // Simulate drives a trace through the platform and resource manager.
@@ -226,7 +227,7 @@ type (
 // Schedule visualisation.
 type (
 	// ExecSegment is one executed schedule piece (SimConfig.RecordExecution).
-	ExecSegment = sim.ExecSegment
+	ExecSegment = engine.ExecSegment
 	// GanttChart renders executed schedules as text.
 	GanttChart = gantt.Chart
 )

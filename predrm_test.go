@@ -1,10 +1,12 @@
 package predrm_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"predrm"
+	"predrm/internal/trace"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the doc-comment
@@ -41,6 +43,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if res.Requests != 120 || res.DeadlineMisses != 0 {
 		t.Fatalf("unexpected result: %+v", res)
+	}
+}
+
+// TestFacadeNilTrace: Simulate refuses a nil trace with trace's named
+// error instead of panicking.
+func TestFacadeNilTrace(t *testing.T) {
+	plat := predrm.DefaultPlatform()
+	set, err := predrm.GenerateTaskSet(plat, predrm.DefaultTaskGenConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = predrm.Simulate(predrm.SimConfig{Platform: plat, TaskSet: set, Solver: predrm.NewHeuristic()}, nil)
+	if !errors.Is(err, trace.ErrNilTrace) {
+		t.Fatalf("Simulate(nil trace) = %v, want %v", err, trace.ErrNilTrace)
 	}
 }
 
