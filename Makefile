@@ -85,9 +85,10 @@ tracecheck:
 	$(GO) run ./cmd/tracetool check internal/sim/testdata/events.golden.jsonl
 
 # cli smoke-runs rmsim's flag wiring (prediction, each engine, the
-# budgeted fallback chain with injected faults, batch epochs on one and on
-# two shards, the Gantt view) and a tracegen -> rmsim -taskset/-trace
-# round trip.
+# budgeted fallback chain with injected faults, the exact engine running
+# out of a node budget inside that chain, batch epochs on one and on two
+# shards, the Gantt view) and a tracegen -> rmsim -taskset/-trace round
+# trip.
 # Any non-zero exit fails it; rmsim exits 1 on a deadline miss.
 cli:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -97,6 +98,7 @@ cli:
 	run -engine greedy; \
 	run -engine milp -len 40; \
 	run -solver-budget 2000 -fault-plan seed=7,solver-error=0.2; \
+	run -engine milp -predict -len 120 -seed 7 -interarrival 2.2 -solver-budget 500; \
 	run -batch-window 1; \
 	run -shards 2 -platform 16c2g -batch-window 1; \
 	run -gantt 20; \

@@ -1,5 +1,5 @@
 // Package cli holds the flag wiring the predrm commands share: the solver
-// constructor behind -engine/-exact-workers/-warmstart, the
+// constructor behind -engine/-warmstart, the
 // -solver-budget syntax and its fallback chain, task-set loading or
 // generation, and the flag and report helpers.
 package cli
@@ -27,7 +27,7 @@ import (
 // each call builds a fresh instance with its own warm state (an EDF probe
 // cache for the heuristic engines, a warm-started search for milp, both
 // only with warmStart); a sharded engine calls it once per shard.
-func SolverFactory(engine string, exactWorkers int, warmStart bool) (func() core.Solver, error) {
+func SolverFactory(engine string, warmStart bool) (func() core.Solver, error) {
 	switch engine {
 	case "heuristic", "greedy":
 		return func() core.Solver {
@@ -39,7 +39,7 @@ func SolverFactory(engine string, exactWorkers int, warmStart bool) (func() core
 		}, nil
 	case "milp":
 		return func() core.Solver {
-			return &exact.Optimal{Workers: exactWorkers, WarmStart: warmStart}
+			return &exact.Optimal{WarmStart: warmStart}
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q", engine)

@@ -54,7 +54,6 @@ func main() {
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
 		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
 		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		exactWork = flag.Int("exact-workers", 0, "search goroutines for -engine milp (0 or 1: serial; results are identical either way)")
 		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work across live activations (milp: repair-based pruning bound; heuristic: EDF probe cache); decisions are identical either way")
 		seed      = flag.Uint64("seed", 1, "task-set seed (ignored with -taskset)")
 		types     = flag.Int("types", 100, "generated task types (ignored with -taskset)")
@@ -69,12 +68,6 @@ func main() {
 	flag.Parse()
 	if *speed <= 0 {
 		fatalf("-speed %g must be positive", *speed)
-	}
-	if *exactWork < 0 {
-		fatalf("-exact-workers %d must be non-negative", *exactWork)
-	}
-	if *engName != "milp" && cli.FlagWasSet("exact-workers") {
-		fatalf("-exact-workers has no effect with -engine %s", *engName)
 	}
 	if *shards < 1 {
 		fatalf("-shards %d must be at least 1", *shards)
@@ -91,7 +84,7 @@ func main() {
 		}
 	}
 
-	newSolver, err := cli.SolverFactory(*engName, *exactWork, *warmStart)
+	newSolver, err := cli.SolverFactory(*engName, *warmStart)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -55,7 +55,6 @@ func main() {
 		tracePath = flag.String("trace", "", "trace JSON file (empty: generate)")
 		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
 		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		exactWork = flag.Int("exact-workers", 0, "search goroutines for -engine milp (0 or 1: serial; results are identical either way)")
 		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work: the milp engine repairs its last mapping into a pruning bound, the heuristic engines cache EDF probe verdicts across activations; decisions are identical either way")
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
 		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
@@ -85,12 +84,6 @@ func main() {
 	)
 	flag.Parse()
 	validateFlags(*usePred, *accuracy, *timeErr, *overhead, *length, *types, *meanIA, *showGantt, *group)
-	if *exactWork < 0 {
-		fatalf("-exact-workers %d must be non-negative", *exactWork)
-	}
-	if *engName != "milp" && cli.FlagWasSet("exact-workers") {
-		fatalf("-exact-workers has no effect with -engine %s", *engName)
-	}
 	if *opsAddr == "" && cli.FlagWasSet("ops-linger") {
 		fatalf("-ops-linger has no effect without -ops-addr")
 	}
@@ -119,7 +112,7 @@ func main() {
 		}
 	}
 
-	newSolver, err := cli.SolverFactory(*engName, *exactWork, *warmStart)
+	newSolver, err := cli.SolverFactory(*engName, *warmStart)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -38,11 +38,10 @@ type Decision struct {
 }
 
 // Solver maps all jobs of a problem at once. Implementations must treat
-// the problem as read-only — also because a solver may parallelise
-// internally (exact.Optimal with Workers > 1 shares one Problem across its
-// search goroutines). The concurrency contract is one-sided: Solve is
-// called from a single goroutine at a time per instance, and whatever
-// concurrency an implementation uses stays behind that call.
+// the problem as read-only. Solve is called from a single goroutine at a
+// time per instance and runs on that goroutine: no solver starts one of
+// its own. The only concurrency inside a decision is the sharded engine's,
+// which solves its shards' problems at once on separate Solver instances.
 type Solver interface {
 	Solve(p *sched.Problem) Decision
 }

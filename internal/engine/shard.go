@@ -379,7 +379,8 @@ func (s *sharded) HasAdaptiveWork() bool {
 // counters sum, MakeSpan is the max, job records return to global ids
 // and activation order, executed segments return to global resource
 // ids, and the telemetry snapshot is taken once from the shared
-// registry. Idempotent, like Engine.Finalize.
+// registry. Like Engine.Finalize it publishes one end-of-run StateSample
+// (Req -1) and is idempotent.
 func (s *sharded) Finalize() *Result {
 	if s.res != nil {
 		return s.res
@@ -388,6 +389,7 @@ func (s *sharded) Finalize() *Result {
 	for si := range s.shards {
 		subs[si] = s.shards[si].eng.Finalize()
 	}
+	s.probeGlobal(-1)
 	res := &Result{}
 	for _, r := range subs {
 		res.Requests += r.Requests

@@ -147,6 +147,47 @@ func TestShardedStateSample(t *testing.T) {
 	}
 }
 
+// TestShardedFinalSample: at 4 shards a drained run ends with one
+// merged sample (Req -1) after the per-decision ones, whose counters
+// equal the merged Result and which holds no reservation.
+func TestShardedFinalSample(t *testing.T) {
+	tr, build := shardFixture(t, "16c2g", 4, 120, 0.6, 65)
+	var samples []StateSample
+	s := build(func(got StateSample) {
+		got.Resources = append([]ResourceSample(nil), got.Resources...)
+		samples = append(samples, got)
+	})
+	for i, req := range tr.Requests {
+		if _, err := s.Activate(i, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res := s.Finalize()
+	s.Finalize() // idempotent: no second end-of-run sample
+	if len(samples) != len(tr.Requests)+1 {
+		t.Fatalf("%d samples for %d requests, want requests + 1", len(samples), len(tr.Requests))
+	}
+	last := samples[len(samples)-1]
+	if last.Req != -1 {
+		t.Fatalf("last sample has Req %d, want -1", last.Req)
+	}
+	if last.Requests != res.Requests || last.Accepted != res.Accepted || last.Rejected != res.Rejected {
+		t.Fatalf("end-of-run sample %d/%d/%d requests/accepted/rejected, Result %d/%d/%d",
+			last.Requests, last.Accepted, last.Rejected, res.Requests, res.Accepted, res.Rejected)
+	}
+	if res.Requests != len(tr.Requests) {
+		t.Fatalf("Result counts %d requests, want %d", res.Requests, len(tr.Requests))
+	}
+	for g, rs := range last.Resources {
+		if rs.Reserved != 0 {
+			t.Fatalf("resource %d still holds %d reservation(s) at the end of the run", g, rs.Reserved)
+		}
+	}
+}
+
 // TestShardedNextWakeIsMin: the scale-out engine's next wake time is the
 // minimum over its shards' own wake times — the property the wall-clock
 // dispatcher's timer depends on at shard boundaries.

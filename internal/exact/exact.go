@@ -36,48 +36,32 @@ const DefaultNodeLimit = 300000
 
 // Stats reports what the last Solve did.
 type Stats struct {
-	// Nodes is the number of branch-and-bound nodes expanded, summed over
-	// all workers for a parallel solve. Parallel node counts vary with
-	// scheduling (pruning depends on when the shared incumbent tightens);
-	// only the returned decision is deterministic.
+	// Nodes is the number of branch-and-bound nodes expanded. The count
+	// is exact and never exceeds the node limit, so a node budget stops
+	// the search at the same node on every run.
 	Nodes int
 	// Truncated reports whether the node budget ran out before the search
 	// space was exhausted; if false the result is the exact optimum.
 	Truncated bool
-	// Tasks is the number of root subtree tasks of a parallel solve
-	// (0 when the serial path ran).
-	Tasks int
-	// Workers is the number of search goroutines used (0 serial).
-	Workers int
 	// WarmSeeded reports whether the previous activation's mapping was
 	// repaired into a feasible solution of this problem and installed as
 	// the warm-start pruning bound (WarmStart field).
 	WarmSeeded bool
 	// WarmCuts counts subtrees cut by the warm-start bound alone — the
-	// incumbent bound had not pruned them. Like Nodes, parallel counts
-	// vary with scheduling; only the returned decision is deterministic.
+	// incumbent bound had not pruned them.
 	WarmCuts int
 }
 
 // Optimal is the exact mapping solver. The zero value is ready to use.
 //
-// An Optimal is not safe for concurrent use by multiple callers: it keeps
-// per-solve state, and Solve must be called from one goroutine at a time.
-// With Workers > 1, Solve parallelises internally — it splits the root of
-// the branch-and-bound tree into subtree tasks and searches them on its
-// own bounded worker pool — while remaining a single-caller API. The
-// parallel search is deterministic: a completed (non-truncated) parallel
-// Solve returns a decision bit-identical to the serial solver's,
-// regardless of worker count, GOMAXPROCS, or scheduling (see DESIGN.md
-// §7 for the total-order incumbent argument).
+// An Optimal is not safe for concurrent use: it keeps per-solve state,
+// and Solve must be called from one goroutine at a time. Solve runs its
+// depth-first search on the caller's goroutine and never starts one of
+// its own, so a run's decisions, node counts and budget cut points are
+// reproducible (the tie-break rule is in DESIGN.md §7).
 type Optimal struct {
 	// NodeLimit overrides DefaultNodeLimit when positive.
 	NodeLimit int
-	// Workers selects the search concurrency: 0 or 1 is the serial
-	// depth-first search, higher values split the root frontier into
-	// subtree tasks explored by that many goroutines sharing an atomic
-	// incumbent bound.
-	Workers int
 	// CacheSlots sizes the cross-activation feasibility cache: 0 selects
 	// sched.DefaultFeasCacheSlots, negative disables the cache. The cache
 	// memoises the probes that need the EDF simulation — a resource list
@@ -110,9 +94,6 @@ type Optimal struct {
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
 	mSolves, mTruncated, mInfeasible *telemetry.Counter
 	mNodes                           *telemetry.Histogram
-	mParSolves                       *telemetry.Counter
-	hParTasks                        *telemetry.Histogram
-	gParWorkers                      *telemetry.Gauge
 	mCacheHits, mCacheMisses         *telemetry.Counter
 	mCacheEvict                      *telemetry.Counter
 	gCacheRate                       *telemetry.Gauge
@@ -153,34 +134,23 @@ type Optimal struct {
 
 	// Warm-start state (WarmStart field): the previous activation's
 	// recorded mapping, the current solve's pruning bound (+Inf when
-	// absent — it is read-only during a search, so parallel workers share
-	// it without synchronisation), and the serial path's bound-cut count.
+	// absent; read-only during a search), and its bound-cut count.
 	warm       sched.WarmState
 	warmBound  float64
 	warmSeeded bool
 	warmCuts   int
 
-	// The serial path's probe context: the EDF scratch, the
-	// cross-activation feasibility cache (see CacheSlots; shared with the
-	// parallel workers) and the batched probe counters, flushed into the
-	// cache per Solve.
+	// The probe context: the EDF scratch, the cross-activation
+	// feasibility cache (see CacheSlots) and the batched probe counters,
+	// flushed into the cache per Solve.
 	probe     sched.Probe
 	lastEvict int64
-
-	// Parallel-search state (see parallel.go): the persistent worker
-	// scratch pool and the shared incumbent/termination machinery.
-	par parSearch
 }
 
-// feasibleList probes one entry list on the caller's probe context, going
-// through the cache when enabled (sched.EntryList.Feasible).
-func feasibleList(p *sched.Problem, l *sched.EntryList, res int, pr *sched.Probe) bool {
-	return l.Feasible(p.Platform.Resource(res).Preemptable(), p.Time, pr, nil)
-}
-
-// feasible checks resource res's current entry list on the serial path.
+// feasible checks resource res's current entry list, going through the
+// cache when enabled (sched.EntryList.Feasible).
 func (o *Optimal) feasible(res int) bool {
-	return feasibleList(o.p, &o.lists[res], res, &o.probe)
+	return o.lists[res].Feasible(o.p.Platform.Resource(res).Preemptable(), o.p.Time, &o.probe, nil)
 }
 
 var _ core.Solver = (*Optimal)(nil)
@@ -206,8 +176,6 @@ func (o *Optimal) recordBB() {
 	b := telemetry.BBStats{
 		Nodes:       o.LastStats.Nodes,
 		Truncated:   o.LastStats.Truncated,
-		Tasks:       o.LastStats.Tasks,
-		Workers:     o.LastStats.Workers,
 		CacheHits:   o.probe.Hits,
 		CacheMisses: o.probe.Misses,
 	}
@@ -237,10 +205,7 @@ func (o *Optimal) BudgetUsed() core.BudgetUse {
 
 // AttachMetrics registers the solver's instruments on reg: counters
 // exact.solves, exact.truncated, and exact.infeasible, plus the histogram
-// exact.nodes (branch-and-bound nodes per solve). The parallel search adds
-// exact.parallel.solves (parallel-path activations), exact.parallel.tasks
-// (root subtree tasks per parallel solve) and exact.parallel.workers
-// (goroutines per parallel solve, gauge); the pruning cache adds
+// exact.nodes (branch-and-bound nodes per solve). The pruning cache adds
 // exact.cache.hits / exact.cache.misses / exact.cache.evictions and the
 // lifetime exact.cache.hit_rate gauge. Warm starting adds
 // exact.warmstart.attempts / .seeded (repairs that produced a bound — the
@@ -251,9 +216,6 @@ func (o *Optimal) AttachMetrics(reg *telemetry.Registry) {
 	o.mTruncated = reg.Counter("exact.truncated")
 	o.mInfeasible = reg.Counter("exact.infeasible")
 	o.mNodes = reg.Histogram("exact.nodes", telemetry.NodeBuckets)
-	o.mParSolves = reg.Counter("exact.parallel.solves")
-	o.hParTasks = reg.Histogram("exact.parallel.tasks", telemetry.CountBuckets)
-	o.gParWorkers = reg.Gauge("exact.parallel.workers")
 	o.mCacheHits = reg.Counter("exact.cache.hits")
 	o.mCacheMisses = reg.Counter("exact.cache.misses")
 	o.mCacheEvict = reg.Counter("exact.cache.evictions")
@@ -356,32 +318,17 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		o.bestMap = append(o.bestMap[:0], h.Mapping...)
 	}
 
-	tasks, workers := 0, 0
-	if o.Workers > 1 && len(o.order) >= 2 {
-		tasks, workers = o.solveParallel(h, pinnedEnergy)
-	}
-	if workers == 0 {
-		// Serial depth-first search: either requested (Workers <= 1) or
-		// the root frontier was too small to be worth splitting.
-		o.dfs(0, pinnedEnergy)
-	}
+	o.dfs(0, pinnedEnergy)
 
 	o.LastStats = Stats{
 		Nodes:      o.nodes,
 		Truncated:  o.nodes >= o.limit || o.wallHit,
-		Tasks:      tasks,
-		Workers:    workers,
 		WarmSeeded: o.warmSeeded,
 		WarmCuts:   o.warmCuts,
 	}
 	o.mWarmCuts.Add(int64(o.warmCuts))
 	o.mSolves.Inc()
 	o.mNodes.Observe(float64(o.nodes))
-	if workers > 0 {
-		o.mParSolves.Inc()
-		o.hParTasks.Observe(float64(tasks))
-		o.gParWorkers.Set(float64(workers))
-	}
 	if o.LastStats.Truncated {
 		o.mTruncated.Inc()
 	}

@@ -68,6 +68,68 @@ func randomSmallProblem(r *rng.Rand, plat *platform.Platform, set *task.Set) *sc
 	return &sched.Problem{Platform: plat, Time: now, Jobs: jobs}
 }
 
+// wideProblem draws an instance with n free-ish jobs and relative
+// deadlines in [dlo, dhi]. Tight deadlines keep the energy-cheapest
+// resource (usually the GPU) from holding every job, so the greedy seed is
+// suboptimal and the branch-and-bound tree is genuinely wide.
+func wideProblem(r *rng.Rand, plat *platform.Platform, set *task.Set, n int, dlo, dhi float64) *sched.Problem {
+	now := r.Uniform(0, 50)
+	jobs := make([]*sched.Job, 0, n+1)
+	for i := 0; i < n; i++ {
+		ty := set.Type(r.Intn(set.Len()))
+		arr := now - r.Uniform(0, 10)
+		j := sched.NewJob(i, ty, arr, r.Uniform(dlo, dhi))
+		if j.AbsDeadline <= now {
+			j.AbsDeadline = now + r.Uniform(10, dhi)
+		}
+		if r.Float64() < 0.2 {
+			j.Resource = r.Intn(plat.Len())
+			if r.Float64() < 0.5 {
+				j.Started = true
+				j.ExecRes = j.Resource
+				j.Frac = r.Uniform(0.2, 1)
+			}
+		}
+		jobs = append(jobs, j)
+	}
+	if r.Float64() < 0.5 {
+		ty := set.Type(r.Intn(set.Len()))
+		jp := sched.NewJob(n, ty, now+r.Uniform(0, 4), r.Uniform(dlo, dhi))
+		jp.Predicted = true
+		jobs = append(jobs, jp)
+	}
+	return &sched.Problem{Platform: plat, Time: now, Jobs: jobs}
+}
+
+// randomWideProblem is the test-sized wide instance: 8-12 jobs under
+// contended deadlines, a few hundred branch-and-bound nodes on average.
+func randomWideProblem(r *rng.Rand, plat *platform.Platform, set *task.Set) *sched.Problem {
+	return wideProblem(r, plat, set, 8+r.Intn(5), 40, 90)
+}
+
+// assertSameDecision requires the two decisions to be bit-identical: same
+// feasibility, same mapping, and exactly equal energy (==, no tolerance —
+// both solves perform the same float additions in the same order).
+func assertSameDecision(t *testing.T, trial int, want, got core.Decision) {
+	t.Helper()
+	if want.Feasible != got.Feasible {
+		t.Fatalf("trial %d: want feasible=%v, got %v", trial, want.Feasible, got.Feasible)
+	}
+	if want.Energy != got.Energy {
+		t.Fatalf("trial %d: want energy %v, got %v (diff %g)",
+			trial, want.Energy, got.Energy, got.Energy-want.Energy)
+	}
+	if len(want.Mapping) != len(got.Mapping) {
+		t.Fatalf("trial %d: mapping lengths differ", trial)
+	}
+	for i := range want.Mapping {
+		if want.Mapping[i] != got.Mapping[i] {
+			t.Fatalf("trial %d: mapping differs at %d: want %v, got %v",
+				trial, i, want.Mapping, got.Mapping)
+		}
+	}
+}
+
 func TestOptimalMatchesBruteForce(t *testing.T) {
 	plat := platform.Motivational() // 3 resources: brute force tractable
 	set, err := task.Generate(plat, func() task.GenConfig {
@@ -238,6 +300,23 @@ func BenchmarkOptimalSolve(b *testing.B) {
 		problems[i] = randomSmallProblem(r, plat, set)
 	}
 	o := &Optimal{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Solve(problems[i%len(problems)])
+	}
+}
+
+// BenchmarkOptimalSolveWide measures the search on contended 14-job
+// instances whose trees run to tens of thousands of nodes.
+func BenchmarkOptimalSolveWide(b *testing.B) {
+	plat := platform.Default()
+	set, _ := task.Generate(plat, task.DefaultGenConfig(), rng.New(5))
+	r := rng.New(97)
+	problems := make([]*sched.Problem, 16)
+	for i := range problems {
+		problems[i] = wideProblem(r, plat, set, 14, 45, 95)
+	}
+	o := &Optimal{NodeLimit: 2_000_000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Solve(problems[i%len(problems)])

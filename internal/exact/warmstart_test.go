@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"runtime"
 	"testing"
 
 	"predrm/internal/platform"
@@ -103,33 +102,6 @@ func TestWarmStartMatchesColdSerial(t *testing.T) {
 		t.Fatal("warm solver never seeded a bound; the differential test is vacuous")
 	}
 	t.Logf("seeded %d warm solves, %d warm-only cuts", seeded, cuts)
-}
-
-// TestWarmStartMatchesColdParallel repeats the differential check with the
-// parallel search on both sides: the warm bound is shared read-only across
-// workers and must not perturb the deterministic reduction.
-func TestWarmStartMatchesColdParallel(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		old := runtime.GOMAXPROCS(procs)
-		warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true, Workers: 4}
-		cold := &Optimal{NodeLimit: 2_000_000, Workers: 4}
-		seeded, _ := runWarmColdSequences(t, warm, cold, uint64(333+procs), 25)
-		runtime.GOMAXPROCS(old)
-		if seeded == 0 {
-			t.Fatalf("procs=%d: warm solver never seeded a bound", procs)
-		}
-	}
-}
-
-// TestWarmStartAgainstSerialCold crosses the modes: a parallel warm solver
-// against a serial cold one, so a warm-bound bug that happened to be
-// mode-symmetric would still be caught.
-func TestWarmStartAgainstSerialCold(t *testing.T) {
-	warm := &Optimal{NodeLimit: 2_000_000, WarmStart: true, Workers: 4}
-	cold := &Optimal{NodeLimit: 2_000_000}
-	if seeded, _ := runWarmColdSequences(t, warm, cold, 4242, 25); seeded == 0 {
-		t.Fatal("warm solver never seeded a bound")
-	}
 }
 
 // TestWarmStartOffRecordsNothing: with WarmStart unset the solver must

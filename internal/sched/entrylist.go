@@ -44,19 +44,6 @@ func (l *EntryList) Reset() {
 	l.fpXor, l.fpSum = 0, 0
 }
 
-// CopyFrom makes l an independent copy of src — entries, counters, and
-// fingerprint state — reusing l's storage. It is how a search worker
-// snapshots the shared base state before applying its own trial inserts.
-func (l *EntryList) CopyFrom(src *EntryList) {
-	l.entries = append(l.entries[:0], src.entries...)
-	l.future = src.future
-	l.pinned = src.pinned
-	l.fpOn = src.fpOn
-	l.fpT = src.fpT
-	l.fpXor = src.fpXor
-	l.fpSum = src.fpSum
-}
-
 // Len returns the number of entries.
 func (l *EntryList) Len() int { return len(l.entries) }
 
@@ -125,11 +112,11 @@ func (l *EntryList) Remove(t float64, pos int) {
 
 // Probe is one caller's context for EntryList.Feasible: the EDF scratch
 // the simulation runs on, the optional cross-activation feasibility cache
-// and the probe statistics batched caller-side, so concurrent search
-// workers (each with its own Probe over a shared Cache) pay no per-probe
-// atomics. The caller folds Hits/Misses into the cache and its
-// instruments (FeasCache.AddStats) and zeroes them. The zero value probes
-// directly, with no cache. A Probe is not safe for concurrent use.
+// and the probe statistics batched caller-side, so a probe pays no
+// per-probe atomics. The caller folds Hits/Misses into the cache and its
+// instruments (FeasCache.AddStats) once per solve and zeroes them. The
+// zero value probes directly, with no cache. A Probe is not safe for
+// concurrent use.
 type Probe struct {
 	Cache        *FeasCache
 	Hits, Misses int64

@@ -87,7 +87,7 @@ type Fp struct {
 // Lookup returns the cached verdict for fp. The second result reports
 // whether the key was present. Lookup is safe for concurrent use and does
 // not touch the hit/miss statistics — callers batch those via AddStats so
-// search workers pay no per-probe atomics.
+// a probe pays no per-probe atomics.
 func (c *FeasCache) Lookup(fp Fp) (feasible, ok bool) {
 	if c == nil {
 		return false, false
@@ -126,8 +126,8 @@ func (c *FeasCache) Store(fp Fp, feasible bool) {
 // Advance starts a new epoch (one solver activation) and runs one
 // increment of the clock sweep: the next sweepChunk slots are examined and
 // those untouched for TTLEpochs epochs are retired. Advance must not race
-// with Lookup/Store from search workers; solvers call it between
-// activations, never during a search.
+// with Lookup/Store; solvers call it at the start of a Solve, before any
+// probe of that solve.
 func (c *FeasCache) Advance() {
 	if c == nil {
 		return
@@ -154,7 +154,8 @@ func (c *FeasCache) Advance() {
 	}
 }
 
-// AddStats folds a worker's batched hit/miss counts into the cache totals.
+// AddStats folds one solve's batched hit/miss counts into the cache
+// totals.
 func (c *FeasCache) AddStats(hits, misses int64) {
 	if c == nil {
 		return
@@ -234,8 +235,7 @@ func entryHash(t float64, e Entry) uint64 {
 // list that is (or will be) populated at activation time t. It must be
 // called on an empty list; Insert and Remove then keep a multiset digest
 // of the entries at O(1) extra cost, and FeasFingerprint reads it without
-// touching the entries. Reset preserves the setting; CopyFrom copies it
-// from the source. Lists whose owner has no FeasCache leave it off and
+// touching the entries. Reset preserves the setting. Lists whose owner has no FeasCache leave it off and
 // pay nothing.
 func (l *EntryList) EnableFingerprint(t float64) {
 	l.fpOn = true

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 )
 
 // Snapshot is a point-in-time copy of a registry's instruments, suitable
@@ -208,31 +207,4 @@ func equalBounds(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// CounterNames returns the snapshot's counter names, sorted, for stable
-// report rendering.
-func (s *Snapshot) CounterNames() []string {
-	if s == nil {
-		return nil
-	}
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HistogramNames returns the snapshot's histogram names, sorted.
-func (s *Snapshot) HistogramNames() []string {
-	if s == nil {
-		return nil
-	}
-	names := make([]string, 0, len(s.Histograms))
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
