@@ -5,13 +5,13 @@ GOFMT ?= gofmt
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
-# end-to-end test, including the concurrent exact search, the sharded
-# epochs and the wall-clock server), run the allocation budgets the race
-# build skips, audit the golden trace with the replay checker, fuzz the
-# heuristic against its seed implementation, smoke-run the rmsim
-# command-line wiring, vet and test the bench/ module against the current
-# API, and gate the hot-path benchmarks against the committed baseline
-# (skip: BENCHCHECK=0).
+# end-to-end test, including the sharded epochs' concurrent shard solves
+# and the wall-clock server), run the allocation budgets the race build
+# skips, audit the golden trace with the replay checker, fuzz the
+# heuristic against its seed implementation, smoke-run the rmsim and
+# experiments command-line wiring, vet and test the bench/ module against
+# the current API, and gate the hot-path benchmarks against the committed
+# baseline (skip: BENCHCHECK=0).
 check: vet fmtcheck build race allocs fuzz tracecheck cli benchmod benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
@@ -87,12 +87,13 @@ tracecheck:
 # cli smoke-runs rmsim's flag wiring (prediction, each engine, the
 # budgeted fallback chain with injected faults, the exact engine running
 # out of a node budget inside that chain, batch epochs on one and on two
-# shards, the Gantt view) and a tracegen -> rmsim -taskset/-trace round
-# trip.
+# shards, the Gantt view), a tracegen -> rmsim -taskset/-trace round
+# trip, and two one-trace experiments (the MILP-vs-heuristic table and
+# the telemetry report with -metrics-out).
 # Any non-zero exit fails it; rmsim exits 1 on a deadline miss.
 cli:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/" ./cmd/rmsim ./cmd/tracegen; \
+	$(GO) build -o "$$tmp/" ./cmd/rmsim ./cmd/tracegen ./cmd/experiments; \
 	run() { echo "cli: rmsim $$*"; "$$tmp/rmsim" "$$@" >/dev/null; }; \
 	run -predict -len 120 -seed 7; \
 	run -engine greedy; \
@@ -104,4 +105,7 @@ cli:
 	run -gantt 20; \
 	"$$tmp/tracegen" -out "$$tmp/tr" -count 1 -len 60 >/dev/null; \
 	run -taskset "$$tmp/tr/taskset.json" -trace "$$tmp/tr/trace-VT-000.json" -predict; \
+	exp() { echo "cli: experiments $$*"; "$$tmp/experiments" "$$@" >/dev/null; }; \
+	exp -exp milp-vs-heuristic -traces 1 -len 30; \
+	exp -exp telemetry -traces 1 -len 30 -metrics-out "$$tmp/m.json"; \
 	echo "cli: ok"

@@ -58,7 +58,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		profile  = flag.String("profile", "calibrated", "workload profile: calibrated or paper")
 		nodes    = flag.Int("exact-nodes", 0, "exact-solver node limit per activation (0 = default)")
-		warm     = flag.Bool("warmstart", true, "let solvers reuse the previous activation's work (warm pruning bound for the exact engine, cross-activation probe cache for the heuristics); results are bit-identical either way")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 
 		metricsOut = flag.String("metrics-out", "", "write the merged telemetry snapshot as JSON to this file")
@@ -80,7 +79,6 @@ func main() {
 	cfg.TraceLen = *traceLen
 	cfg.Seed = *seed
 	cfg.ExactNodeLimit = *nodes
-	cfg.WarmStart = *warm
 	switch *profile {
 	case "calibrated":
 		cfg.Profile = experiments.CalibratedProfile()

@@ -1,7 +1,6 @@
 // Package cli holds the flag wiring the predrm commands share: the solver
-// constructor behind -engine/-warmstart, the
-// -solver-budget syntax and its fallback chain, task-set loading or
-// generation, and the flag and report helpers.
+// constructor behind -engine, the -solver-budget syntax and its fallback
+// chain, task-set loading or generation, and the flag and report helpers.
 package cli
 
 import (
@@ -25,21 +24,18 @@ import (
 // SolverFactory returns a constructor for the named mapping engine:
 // heuristic, greedy or milp. Solvers are not safe for concurrent use, so
 // each call builds a fresh instance with its own warm state (an EDF probe
-// cache for the heuristic engines, a warm-started search for milp, both
-// only with warmStart); a sharded engine calls it once per shard.
-func SolverFactory(engine string, warmStart bool) (func() core.Solver, error) {
+// cache for the heuristic engines, a warm-started search for milp); a
+// sharded engine calls it once per shard. Warm state is decision-neutral:
+// it only reuses the previous activation's work.
+func SolverFactory(engine string) (func() core.Solver, error) {
 	switch engine {
 	case "heuristic", "greedy":
 		return func() core.Solver {
-			var cache *sched.FeasCache
-			if warmStart {
-				cache = sched.NewFeasCache(0)
-			}
-			return &core.Heuristic{Greedy: engine == "greedy", Cache: cache}
+			return &core.Heuristic{Greedy: engine == "greedy", Cache: sched.NewFeasCache(0)}
 		}, nil
 	case "milp":
 		return func() core.Solver {
-			return &exact.Optimal{WarmStart: warmStart}
+			return &exact.Optimal{WarmStart: true}
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q", engine)

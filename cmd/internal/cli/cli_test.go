@@ -30,7 +30,7 @@ func TestParseBudget(t *testing.T) {
 // name is refused before any solver is built.
 func TestSolverFactory(t *testing.T) {
 	for _, name := range []string{"heuristic", "greedy", "milp"} {
-		f, err := SolverFactory(name, true)
+		f, err := SolverFactory(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -38,7 +38,7 @@ func TestSolverFactory(t *testing.T) {
 			t.Errorf("%s: factory returned a shared instance", name)
 		}
 	}
-	if _, err := SolverFactory("simplex", true); err == nil {
+	if _, err := SolverFactory("simplex"); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }

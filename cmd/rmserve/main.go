@@ -49,15 +49,14 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "address to serve the RM API and introspection plane on (:0 picks a free port)")
-		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
-		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
-		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
-		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work across live activations (milp: repair-based pruning bound; heuristic: EDF probe cache); decisions are identical either way")
-		seed      = flag.Uint64("seed", 1, "task-set seed (ignored with -taskset)")
-		types     = flag.Int("types", 100, "generated task types (ignored with -taskset)")
-		speed     = flag.Float64("speed", 1, "engine time units per real second (replay compression; decisions are speed-invariant)")
+		addr     = flag.String("addr", ":8080", "address to serve the RM API and introspection plane on (:0 picks a free port)")
+		setPath  = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
+		platSpec = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
+		shards   = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
+		engName  = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
+		seed     = flag.Uint64("seed", 1, "task-set seed (ignored with -taskset)")
+		types    = flag.Int("types", 100, "generated task types (ignored with -taskset)")
+		speed    = flag.Float64("speed", 1, "engine time units per real second (replay compression; decisions are speed-invariant)")
 
 		solverBudget = flag.String("solver-budget", "", "per-activation solver budget: a node count (e.g. 20000) or a wall duration (e.g. 5ms); enables the budgeted fallback chain for graceful degradation under load")
 
@@ -84,7 +83,7 @@ func main() {
 		}
 	}
 
-	newSolver, err := cli.SolverFactory(*engName, *warmStart)
+	newSolver, err := cli.SolverFactory(*engName)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -55,7 +55,6 @@ func main() {
 		tracePath = flag.String("trace", "", "trace JSON file (empty: generate)")
 		setPath   = flag.String("taskset", "", "task-set JSON file written by tracegen (empty: generate from -seed)")
 		engName   = flag.String("engine", "heuristic", "mapping engine: heuristic, greedy, or milp")
-		warmStart = flag.Bool("warmstart", true, "reuse the previous activation's work: the milp engine repairs its last mapping into a pruning bound, the heuristic engines cache EDF probe verdicts across activations; decisions are identical either way")
 		platSpec  = flag.String("platform", "", "platform spec like 5c1g or 64c8g (empty: the paper's 5c1g default; invalid with -taskset, which carries its platform)")
 		shards    = flag.Int("shards", 1, "partition the platform into this many shards, each admitting against only its own resources (scale-out mode)")
 		batchWin  = flag.Float64("batch-window", 0, "collect arrivals for this many time units and admit each window as one batch epoch (0: the paper's one-by-one protocol)")
@@ -112,7 +111,7 @@ func main() {
 		}
 	}
 
-	newSolver, err := cli.SolverFactory(*engName, *warmStart)
+	newSolver, err := cli.SolverFactory(*engName)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -24,7 +24,8 @@ const digestGolden = "testdata/digest.golden"
 // TestHeuristicDigestGolden pins the heuristic's observable behaviour on
 // large platforms, one SHA-256 per problem:
 //
-//   - solve/<mode>/<platform>: the Decision plus the canonical JSON of
+//   - solve/<mode>/<platform>: the Decision (an infeasible one with the
+//     partial plan, see solveWithPlan) plus the canonical JSON of
 //     the provenance recorded by a Solve with a ProvRecorder attached, in
 //     regret and greedy modes, over seeded bigProblem populations that
 //     include infeasible problems;
@@ -52,7 +53,7 @@ func TestHeuristicDigestGolden(t *testing.T) {
 			for trial := 0; trial < 60; trial++ {
 				p := bigProblem(r, plat, set, float64(trial)*60)
 				rec.Reset()
-				d := h.Solve(p)
+				d := solveWithPlan(h, p)
 				if d.Feasible {
 					feasible++
 				} else {

@@ -44,7 +44,7 @@ func FuzzHeuristicMatchesReference(f *testing.F) {
 			want := referenceSolve(p, greedy)
 			rec.Reset()
 			for name, h := range map[string]*Heuristic{"plain": plain, "cache": cached, "provenance": recorded} {
-				got := h.Solve(p)
+				got := solveWithPlan(h, p)
 				if got.Feasible != want.Feasible || got.Energy != want.Energy ||
 					!reflect.DeepEqual(got.Mapping, want.Mapping) {
 					t.Fatalf("%s trial %d on %s: got %+v, reference %+v",

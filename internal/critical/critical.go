@@ -164,35 +164,3 @@ func (s *Set) UpcomingJobs(p *platform.Platform, from, to float64) []*sched.Job 
 	}
 	return jobs
 }
-
-// NextRelease returns the earliest release time strictly after at, and
-// false if the set is empty.
-func (s *Set) NextRelease(at float64) (float64, bool) {
-	if s == nil || len(s.Tasks) == 0 {
-		return 0, false
-	}
-	best := math.Inf(1)
-	for _, t := range s.Tasks {
-		k := t.NextReleaseIndex(at + sched.Eps)
-		rel := t.ReleaseAt(k)
-		if rel <= at+sched.Eps {
-			rel = t.ReleaseAt(k + 1)
-		}
-		if rel < best {
-			best = rel
-		}
-	}
-	return best, true
-}
-
-// ReleasesAt returns the task indices releasing exactly at time at.
-func (s *Set) ReleasesAt(at float64) []int {
-	var ids []int
-	for tid, t := range s.Tasks {
-		k := t.NextReleaseIndex(at)
-		if math.Abs(t.ReleaseAt(k)-at) <= sched.Eps {
-			ids = append(ids, tid)
-		}
-	}
-	return ids
-}

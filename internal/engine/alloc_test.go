@@ -89,10 +89,11 @@ func TestActivateAllocBudget(t *testing.T) {
 // take the admission fallback (Sec 4.3) — the prediction is dropped and
 // the problem re-solved, admitted without it or rejected. Dropping into
 // the engine's admission scratch and lifting the sub-decision or the
-// rejection onto it add no allocation to that path beyond the failed
-// and the repeated solve's own mappings. A fallback that copies the
-// problem per dropped prediction and lifts through a map measured 6.97
-// allocs per decision here; the scratch-backed one 3.86.
+// rejection onto it add no allocation to that path beyond the repeated
+// solve's own mapping; the failed solve returns none. A fallback that
+// copies the problem per dropped prediction and lifts through a map
+// measured 6.97 allocs per decision here; the scratch-backed one 3.86,
+// and 2.33 once the failed solve stopped copying its partial mapping.
 func TestSaturatedFallbackAllocBudget(t *testing.T) {
 	e, tr := predictedVT(t, 1.0)
 	fallbacks, decisions := 0, 0
@@ -113,7 +114,7 @@ func TestSaturatedFallbackAllocBudget(t *testing.T) {
 	if share < 0.5 {
 		t.Fatalf("only %.0f%% of decisions took the fallback: the load is not saturated", 100*share)
 	}
-	const budget = 5
+	const budget = 3
 	if got > budget {
 		t.Fatalf("Activate at saturation: %.2f allocs per decision, budget %d", got, budget)
 	}

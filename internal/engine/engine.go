@@ -119,13 +119,18 @@ type Config struct {
 // StateSample is the RM state handed to Config.StateProbe: cumulative
 // admission counters plus the current in-flight picture. Counters are
 // cumulative since the start of the run so samplers can window them.
+// The sharded engine (S > 1) probes an epoch's decisions only after
+// every shard has finished the epoch: its admission counters still stop
+// at each sample's request, but the in-flight picture (Finished,
+// DeadlineMisses, InFlight, Resources) is the post-epoch one.
 type StateSample struct {
 	// Time is the engine time of the sample.
 	Time float64 `json:"time"`
 	// Req is the request index just decided, or -1 for the final
 	// end-of-run sample.
 	Req int `json:"req"`
-	// Requests counts arrivals decided so far (== Accepted + Rejected).
+	// Requests counts arrivals decided so far (== Accepted + Rejected),
+	// Req included: Req+1 on a per-decision sample.
 	Requests int `json:"requests"`
 	// Accepted and Rejected are cumulative admission outcomes.
 	Accepted int `json:"accepted"`

@@ -70,6 +70,9 @@ type sharded struct {
 	res    *Result // merged result, built once by Finalize
 	// probeRes backs the merged samples' Resources, reused like Engine's.
 	probeRes []ResourceSample
+	// accepted and rejected count admissions in global request order, up
+	// to the request the next merged sample reports.
+	accepted, rejected int
 }
 
 // NewSharded builds the engine for sc: with 0 or 1 shards the bare
@@ -268,7 +271,8 @@ func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 	}
 	// Reassemble outcomes in global order: each shard's outcomes are in
 	// its group order, and the group order is the global order filtered
-	// by route.
+	// by route. Each outcome is probed as it is counted, so a sample's
+	// admission counters stop at its own request.
 	taken := make([]int, len(s.shards))
 	outs := make([]Outcome, len(reqs))
 	for i := range reqs {
@@ -277,8 +281,11 @@ func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 		taken[si]++
 		s.globalize(&out, si, startIdx+i)
 		outs[i] = out
-	}
-	for i := range reqs {
+		if out.Accepted {
+			s.accepted++
+		} else {
+			s.rejected++
+		}
 		s.probeGlobal(startIdx + i)
 	}
 	return outs, nil
@@ -294,6 +301,8 @@ func (s *sharded) globalize(out *Outcome, si, globalID int) {
 
 // probeGlobal emits one merged platform-wide StateSample: every shard
 // engine adds its own state through its local-to-global resource map.
+// The shards have finished the whole epoch by then, so the admission
+// counters are replaced by the global-order counts up to req.
 func (s *sharded) probeGlobal(req int) {
 	if s.cfg.StateProbe == nil {
 		return
@@ -303,6 +312,7 @@ func (s *sharded) probeGlobal(req int) {
 	for si := range s.shards {
 		s.shards[si].eng.addState(&sample, s.shards[si].sub.GlobalIDs)
 	}
+	sample.Requests, sample.Accepted, sample.Rejected = s.accepted+s.rejected, s.accepted, s.rejected
 	s.cfg.StateProbe(sample)
 }
 

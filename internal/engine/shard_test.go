@@ -10,6 +10,7 @@ import (
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/rng"
+	"predrm/internal/sched"
 	"predrm/internal/task"
 	"predrm/internal/trace"
 )
@@ -184,6 +185,43 @@ func TestShardedFinalSample(t *testing.T) {
 	for g, rs := range last.Resources {
 		if rs.Reserved != 0 {
 			t.Fatalf("resource %d still holds %d reservation(s) at the end of the run", g, rs.Reserved)
+		}
+	}
+}
+
+// TestShardedEpochSampleCounters: at 4 shards with batch epochs, every
+// per-decision sample counts admissions up to its own request in global
+// order, as the bare engine's inline probes do, even though the shards
+// finish the whole epoch before any of its samples is taken.
+func TestShardedEpochSampleCounters(t *testing.T) {
+	tr, build := shardFixture(t, "16c2g", 4, 160, 0.4, 83)
+	var samples []StateSample
+	s := build(func(got StateSample) { samples = append(samples, got) })
+	const window = 1.0
+	reqs := tr.Requests
+	multi := false
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		for j < len(reqs) && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
+			j++
+		}
+		multi = multi || j-i > 1
+		close := max(reqs[i].Arrival+window, reqs[j-1].Arrival)
+		if _, err := s.ActivateEpoch(i, reqs[i:j], close); err != nil {
+			t.Fatal(err)
+		}
+		i = j
+	}
+	if !multi {
+		t.Fatal("no epoch held more than one request")
+	}
+	if len(samples) != len(reqs) {
+		t.Fatalf("%d samples for %d requests", len(samples), len(reqs))
+	}
+	for i, got := range samples {
+		if got.Req != i || got.Requests != got.Req+1 || got.Accepted+got.Rejected != got.Requests {
+			t.Fatalf("sample %d: Req %d, Requests %d, Accepted %d, Rejected %d; want Req %d, Requests Req+1 = Accepted+Rejected",
+				i, got.Req, got.Requests, got.Accepted, got.Rejected, i)
 		}
 	}
 }

@@ -75,14 +75,6 @@ type Config struct {
 	// (0 = exact.DefaultNodeLimit). The solver stays anytime-optimal and
 	// never returns worse than the heuristic when truncated.
 	ExactNodeLimit int
-	// WarmStart lets solvers reuse the previous activation's work: the
-	// exact solver repairs its last mapping into a warm pruning bound
-	// (exact.Optimal.WarmStart) and the heuristic routes its EDF probes
-	// through a cross-activation feasibility cache (core.Heuristic.Cache).
-	// Both are decision-neutral — results are bit-identical either way
-	// (TestWarmStartMatchesCold) — so this is purely a speed knob, on by
-	// default via DefaultConfig and the cmd flags.
-	WarmStart bool
 	// Workers bounds concurrent trace simulations (0 = GOMAXPROCS).
 	Workers int
 	// Tracer, when non-nil, streams structured events from every
@@ -104,11 +96,10 @@ type Config struct {
 // minutes. Scale Traces/TraceLen up to the paper's 500x500 via cmd flags.
 func DefaultConfig() Config {
 	return Config{
-		Seed:      1,
-		Traces:    30,
-		TraceLen:  200,
-		Profile:   CalibratedProfile(),
-		WarmStart: true,
+		Seed:     1,
+		Traces:   30,
+		TraceLen: 200,
+		Profile:  CalibratedProfile(),
 	}
 }
 
@@ -242,23 +233,19 @@ func (g *grid) misses() int {
 }
 
 // newSolver builds a fresh solver per simulation (solvers keep scratch
-// state and are not safe for concurrent sharing).
+// state and are not safe for concurrent sharing). Every solver reuses the
+// previous activation's work: the exact solver repairs its last mapping
+// into a warm pruning bound and the heuristics route their EDF probes
+// through a cross-activation feasibility cache. Both are decision-neutral
+// (TestWarmStartMatchesCold).
 func (c *Config) newSolver(e solverKind) core.Solver {
 	switch e {
 	case engineExact:
-		return &exact.Optimal{NodeLimit: c.ExactNodeLimit, WarmStart: c.WarmStart}
+		return &exact.Optimal{NodeLimit: c.ExactNodeLimit, WarmStart: true}
 	case engineGreedy:
-		h := &core.Heuristic{Greedy: true}
-		if c.WarmStart {
-			h.Cache = sched.NewFeasCache(0)
-		}
-		return h
+		return &core.Heuristic{Greedy: true, Cache: sched.NewFeasCache(0)}
 	default:
-		h := &core.Heuristic{}
-		if c.WarmStart {
-			h.Cache = sched.NewFeasCache(0)
-		}
-		return h
+		return &core.Heuristic{Cache: sched.NewFeasCache(0)}
 	}
 }
 
@@ -376,12 +363,13 @@ func runOne(cfg Config, plat *platform.Platform, set *task.Set, tr *trace.Trace,
 	scfg := engine.Config{
 		Platform:  plat,
 		TaskSet:   set,
-		Solver:    cfg.newSolver(v.engine),
 		Policy:    v.policy,
 		Lookahead: v.lookahead,
 	}
 	if v.solver != nil {
 		scfg.Solver = v.solver(set)
+	} else {
+		scfg.Solver = cfg.newSolver(v.engine)
 	}
 	if v.telemetry {
 		scfg.Metrics = telemetry.NewRegistry()

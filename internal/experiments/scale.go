@@ -121,11 +121,7 @@ func ScaleSweep(cfg Config, specs []string) (*ScaleSweepResult, error) {
 					Shards:      mode.shards,
 					BatchWindow: mode.window,
 					NewSolver: func() core.Solver {
-						s := &core.Heuristic{}
-						if cfg.WarmStart {
-							s.Cache = sched.NewFeasCache(0)
-						}
-						return s
+						return &core.Heuristic{Cache: sched.NewFeasCache(0)}
 					},
 				}, tr)
 				if err != nil {

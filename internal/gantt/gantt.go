@@ -151,21 +151,6 @@ func glyph(id int) byte {
 	return byte('a' + (-id-1)%26)
 }
 
-// WriteTSV exports the segments as tab-separated values (resource name,
-// job id, start, end) for external plotting.
-func (c *Chart) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "resource\tjob\tstart\tend"); err != nil {
-		return err
-	}
-	for _, s := range c.segs {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%.6f\t%.6f\n",
-			c.plat.Resource(s.Resource).Name, s.JobID, s.Start, s.End); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Utilization returns each resource's busy fraction over the chart span.
 func (c *Chart) Utilization() []float64 {
 	busy := make([]float64, c.plat.Len())

@@ -2,6 +2,8 @@ package gantt
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -170,4 +172,19 @@ func TestEndToEndFromSimulator(t *testing.T) {
 			t.Errorf("rejected job %d appears in the execution record", j.ID)
 		}
 	}
+}
+
+// WriteTSV exports the segments as tab-separated values (resource name,
+// job id, start, end) for external plotting.
+func (c *Chart) WriteTSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "resource\tjob\tstart\tend"); err != nil {
+		return err
+	}
+	for _, s := range c.segs {
+		if _, err := fmt.Fprintf(w, "%s\t%d\t%.6f\t%.6f\n",
+			c.plat.Resource(s.Resource).Name, s.JobID, s.Start, s.End); err != nil {
+			return err
+		}
+	}
+	return nil
 }

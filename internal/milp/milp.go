@@ -1,7 +1,7 @@
 // Package milp solves mixed-integer linear programs by LP-based branch and
 // bound over internal/lp. It supports minimization with a subset of
 // variables restricted to integers (binaries are integers with an explicit
-// x ≤ 1 bound constraint added by the caller or via AddBinaryBounds).
+// x ≤ 1 bound constraint added by the caller).
 package milp
 
 import (
@@ -21,28 +21,10 @@ type Problem struct {
 	Integer []bool
 }
 
-// AddBinaryBounds appends x_j ≤ 1 rows for every integer variable in js
-// and marks them integral, making them binary (variables are ≥ 0 already).
-func (p *Problem) AddBinaryBounds(js ...int) {
-	if len(p.Integer) < p.NumVars {
-		grown := make([]bool, p.NumVars)
-		copy(grown, p.Integer)
-		p.Integer = grown
-	}
-	for _, j := range js {
-		p.Integer[j] = true
-		coeffs := make([]float64, j+1)
-		coeffs[j] = 1
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: coeffs, Sense: lp.LE, RHS: 1})
-	}
-}
-
 // Options controls the search.
 type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes (0 = default).
 	MaxNodes int
-	// IntTol is the integrality tolerance (0 = default 1e-6).
-	IntTol float64
 	// Metrics, when non-nil, records per-solve instruments: counters
 	// milp.solves, milp.nodes (cumulative branch-and-bound nodes), and
 	// milp.truncated.
@@ -52,6 +34,10 @@ type Options struct {
 // DefaultMaxNodes bounds the search tree; the paper-formulation instances
 // explored in this repository stay well under it.
 const DefaultMaxNodes = 200000
+
+// intTol is the integrality tolerance: a relaxed value within it of an
+// integer counts as integral.
+const intTol = 1e-6
 
 // Status classifies a MILP solve.
 type Status int
@@ -125,10 +111,6 @@ func solve(p *Problem, opts Options) (Solution, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
-	}
-	intTol := opts.IntTol
-	if intTol <= 0 {
-		intTol = 1e-6
 	}
 
 	sol := Solution{Status: Infeasible, Objective: math.Inf(1)}

@@ -256,3 +256,19 @@ func TestRandomisedAgainstEnumeration(t *testing.T) {
 		t.Fatalf("only %d optimal instances checked", checked)
 	}
 }
+
+// AddBinaryBounds appends x_j ≤ 1 rows for every integer variable in js
+// and marks them integral, making them binary (variables are ≥ 0 already).
+func (p *Problem) AddBinaryBounds(js ...int) {
+	if len(p.Integer) < p.NumVars {
+		grown := make([]bool, p.NumVars)
+		copy(grown, p.Integer)
+		p.Integer = grown
+	}
+	for _, j := range js {
+		p.Integer[j] = true
+		coeffs := make([]float64, j+1)
+		coeffs[j] = 1
+		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: coeffs, Sense: lp.LE, RHS: 1})
+	}
+}

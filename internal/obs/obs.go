@@ -33,12 +33,11 @@
 //	              non-blocking telemetry.Subscriber tap
 //	/debug/pprof  stdlib profiling handlers
 //
-// The plane is clocked by the simulator's virtual time, not wall time:
+// The plane is clocked by the engine's time, not wall time:
 // engine.Config.StateProbe hands it a StateSample at every admission
-// decision, and a Snapshotter throttles state publication to a
-// virtual-time cadence. The same plane therefore serves identically under
-// the discrete-event simulator today and under wall-clock serving later —
-// only the probe cadence changes.
+// decision and it publishes each one. The same plane therefore serves
+// identically under the discrete-event simulator and under wall-clock
+// serving; only the probe cadence changes.
 package obs
 
 import (
@@ -67,17 +66,6 @@ type Options struct {
 	// Tracer is tapped by /trace/tail and read for drop counters. Nil
 	// disables tailing (the endpoint answers 503).
 	Tracer *telemetry.Tracer
-	// SLO parameterises the burn-rate tracker (zero value = defaults).
-	SLO SLOConfig
-	// SnapshotInterval throttles RM-state publication to one sample per
-	// interval of simulated time (0 publishes every probe). SLO windows
-	// always see every probe; the final end-of-run sample is always
-	// published.
-	SnapshotInterval float64
-	// TailBuffer is the default per-connection subscriber buffer for
-	// /trace/tail (0 = telemetry.DefaultSubscriberBuffer; overridable
-	// per request with ?buf=N).
-	TailBuffer int
 }
 
 // Plane is the mounted introspection state. Create with NewPlane; all
@@ -86,7 +74,6 @@ type Plane struct {
 	opts    Options
 	reg     *telemetry.Registry // plane-owned instruments (slo.*, tracer gauges)
 	slo     *SLO
-	snap    Snapshotter
 	state   atomic.Pointer[engine.StateSample]
 	started time.Time
 	mux     *http.ServeMux
@@ -97,10 +84,9 @@ func NewPlane(opts Options) *Plane {
 	p := &Plane{
 		opts:    opts,
 		reg:     telemetry.NewRegistry(),
-		snap:    Snapshotter{Interval: opts.SnapshotInterval},
 		started: time.Now(),
 	}
-	p.slo = NewSLO(opts.SLO, p.reg)
+	p.slo = NewSLO(SLOConfig{}, p.reg)
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("/", p.handleIndex)
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
@@ -117,13 +103,9 @@ func NewPlane(opts Options) *Plane {
 }
 
 // Probe is the engine.Config.StateProbe hook: it feeds the SLO windows with
-// every sample and publishes the RM state on the snapshotter's
-// virtual-time cadence (always for the final Req == -1 sample).
+// every sample and publishes it as the current RM state.
 func (p *Plane) Probe(s engine.StateSample) {
 	p.slo.Record(s.Time, s.Requests, s.Rejected, s.Finished, s.DeadlineMisses)
-	if s.Req >= 0 && !p.snap.Due(s.Time) {
-		return
-	}
 	// The simulator may reuse the sample's backing storage; keep a copy.
 	s.Resources = append([]engine.ResourceSample(nil), s.Resources...)
 	p.state.Store(&s)
@@ -385,7 +367,7 @@ func (p *Plane) handleTail(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no tracer attached", http.StatusServiceUnavailable)
 		return
 	}
-	buf := p.opts.TailBuffer
+	buf := telemetry.DefaultSubscriberBuffer
 	if s := r.URL.Query().Get("buf"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
@@ -453,11 +435,11 @@ type Server struct {
 	plane *Plane
 	ln    net.Listener
 	srv   *http.Server
-
-	// ShutdownTimeout bounds Close's graceful drain before it falls back
-	// to severing connections (default 2s).
-	ShutdownTimeout time.Duration
 }
+
+// shutdownTimeout bounds Server.Close's graceful drain before it falls
+// back to severing connections.
+const shutdownTimeout = 2 * time.Second
 
 // Serve binds the plane to addr (":0" picks a free port) and serves it in
 // the background.
@@ -480,15 +462,11 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Close ends open tail streams and stops the server. Closing the plane
 // unsubscribes every tailer, so the graceful Shutdown that follows lets
 // each stream flush its terminal event and return before the listener
-// goes away; only if that takes longer than ShutdownTimeout are the
+// goes away; only if that takes longer than shutdownTimeout are the
 // remaining connections severed.
 func (s *Server) Close() error {
 	s.plane.Close()
-	d := s.ShutdownTimeout
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()

@@ -446,60 +446,19 @@ func TestPlaneProbeConcurrentStatusz(t *testing.T) {
 	}
 }
 
-// TestSnapshotterCadence pins the virtual-clock gate: first tick due,
-// then only after Interval elapses; Interval 0 is always due.
-func TestSnapshotterCadence(t *testing.T) {
-	s := Snapshotter{Interval: 10}
-	ticks := []struct {
-		now  float64
-		want bool
-	}{
-		{0, true}, {5, false}, {9.99, false}, {10, true}, {15, false}, {20.5, true},
-	}
-	for _, tick := range ticks {
-		if got := s.Due(tick.now); got != tick.want {
-			t.Fatalf("Due(%v) = %v, want %v", tick.now, got, tick.want)
-		}
-	}
-	always := Snapshotter{}
-	for _, now := range []float64{0, 0, 1} {
-		if !always.Due(now) {
-			t.Fatalf("zero-interval snapshotter not due at %v", now)
-		}
-	}
-}
-
-// TestSnapshotterTimeRegression: a virtual-time reading behind the last
-// due tick means the time source restarted (a fresh run reusing the
-// plane), so Due must latch the restart and report due instead of going
-// dark until the new timeline passes the stale mark — mirroring
-// TestSLOTimeRegressionResets for the SLO tracker.
-func TestSnapshotterTimeRegression(t *testing.T) {
-	s := Snapshotter{Interval: 10}
-	if !s.Due(100) {
-		t.Fatal("first tick not due")
-	}
-	if !s.Due(2) {
-		t.Fatal("regressed tick (restarted time source) not due")
-	}
-	if s.Due(5) {
-		t.Fatal("tick inside Interval of the re-latched mark reported due")
-	}
-	if !s.Due(12) {
-		t.Fatal("tick one Interval past the re-latched mark not due")
-	}
-}
-
-// TestPlaneProbePublishes: the final Req == -1 sample must always be
-// published even when the snapshot interval would suppress it, and the
-// published copy must not alias the caller's Resources slice.
+// TestPlaneProbePublishes: every probe, the final Req == -1 sample
+// included, becomes the published state, and the published copy must not
+// alias the caller's Resources slice.
 func TestPlaneProbePublishes(t *testing.T) {
-	plane := NewPlane(Options{SnapshotInterval: 100})
+	plane := NewPlane(Options{})
 	resources := []engine.ResourceSample{{Jobs: 1}}
-	plane.Probe(engine.StateSample{Time: 0, Req: 0, Resources: resources})
+	plane.Probe(engine.StateSample{Time: 0, Req: 0, Requests: 1, Resources: resources})
+	if got := plane.state.Load(); got.Req != 0 || got.Requests != 1 {
+		t.Fatalf("first sample not published: %+v", got)
+	}
 	plane.Probe(engine.StateSample{Time: 1, Req: 1, Requests: 2, Resources: resources})
-	if got := plane.state.Load(); got.Req != 0 {
-		t.Fatalf("interval-suppressed sample was published: %+v", got)
+	if got := plane.state.Load(); got.Req != 1 || got.Requests != 2 {
+		t.Fatalf("second sample not published: %+v", got)
 	}
 	plane.Probe(engine.StateSample{Time: 2, Req: -1, Requests: 2, Resources: resources})
 	got := plane.state.Load()

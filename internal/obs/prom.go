@@ -20,8 +20,8 @@ import (
 // is a digit. The original dotted name is preserved in the HELP line so
 // scrapes stay attributable to registry instruments. Two registry names
 // that collide after sanitisation ("a.b" and "a_b") would yield duplicate
-// families; the repository's instrument namespace avoids this and
-// ValidateExposition rejects it.
+// families; the repository's instrument namespace avoids this and the
+// exposition validator in the package tests rejects it.
 
 // ContentType is the Content-Type an HTTP handler should declare for
 // WritePrometheus output.

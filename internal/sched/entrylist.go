@@ -47,15 +47,6 @@ func (l *EntryList) Reset() {
 // Len returns the number of entries.
 func (l *EntryList) Len() int { return len(l.entries) }
 
-// Entries returns the ordered entries. The slice is borrowed: it aliases
-// the list's storage and is invalidated by the next Insert, Remove, or
-// Reset.
-func (l *EntryList) Entries() []Entry { return l.entries }
-
-// Future returns the number of entries whose release lies after the
-// activation time passed to Insert.
-func (l *EntryList) Future() int { return l.future }
-
 // Insert places e at its service position — within the pinned prefix
 // group if it is pinned, after the group otherwise, in both cases after
 // all group entries with a deadline not exceeding its own — and returns

@@ -172,3 +172,12 @@ func BenchmarkFeasibleSorted(b *testing.B) {
 		FeasibleSorted(t, entries)
 	}
 }
+
+// Entries returns the ordered entries. The slice is borrowed: it aliases
+// the list's storage and is invalidated by the next Insert, Remove, or
+// Reset.
+func (l *EntryList) Entries() []Entry { return l.entries }
+
+// Future returns the number of entries whose release lies after the
+// activation time passed to Insert.
+func (l *EntryList) Future() int { return l.future }

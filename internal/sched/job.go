@@ -172,12 +172,6 @@ func (j *Job) Pinned(p *platform.Platform) bool {
 // migration debt.
 func (j *Job) Done() bool { return j.Frac <= 0 && j.MigDebt <= 0 }
 
-// Clone returns a copy of the job (Type is shared; it is immutable).
-func (j *Job) Clone() *Job {
-	c := *j
-	return &c
-}
-
 // String formats the job for diagnostics.
 func (j *Job) String() string {
 	kind := "job"

@@ -182,3 +182,9 @@ func TestMigrationPolicyString(t *testing.T) {
 		t.Fatal("unknown policy string")
 	}
 }
+
+// Clone returns a copy of the job (Type is shared; it is immutable).
+func (j *Job) Clone() *Job {
+	c := *j
+	return &c
+}

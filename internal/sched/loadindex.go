@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // LoadIndex keeps a fixed population of candidates (platform shards, or
 // resources) ordered by a load score, supporting O(log n) repositioning
@@ -75,21 +72,4 @@ func (x *LoadIndex) Update(id int, load float64) {
 	for k := lo; k <= hi; k++ {
 		x.pos[x.rank[k]] = k
 	}
-}
-
-// Invariant verifies internal consistency (tests).
-func (x *LoadIndex) Invariant() error {
-	for k, id := range x.rank {
-		if x.pos[id] != k {
-			return fmt.Errorf("loadindex: pos[%d]=%d but rank[%d]=%d", id, x.pos[id], k, id)
-		}
-		if k > 0 {
-			prev := x.rank[k-1]
-			if !x.less(prev, x.load[id], id) {
-				return fmt.Errorf("loadindex: order broken at %d: id %d (%.3f) !< id %d (%.3f)",
-					k, prev, x.load[prev], id, x.load[id])
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"predrm/internal/rng"
@@ -47,4 +48,21 @@ func TestLoadIndexLeastAndTies(t *testing.T) {
 	if err := x.Invariant(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Invariant verifies internal consistency (tests).
+func (x *LoadIndex) Invariant() error {
+	for k, id := range x.rank {
+		if x.pos[id] != k {
+			return fmt.Errorf("loadindex: pos[%d]=%d but rank[%d]=%d", id, x.pos[id], k, id)
+		}
+		if k > 0 {
+			prev := x.rank[k-1]
+			if !x.less(prev, x.load[id], id) {
+				return fmt.Errorf("loadindex: order broken at %d: id %d (%.3f) !< id %d (%.3f)",
+					k, prev, x.load[prev], id, x.load[id])
+			}
+		}
+	}
+	return nil
 }

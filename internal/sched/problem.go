@@ -36,17 +36,6 @@ func (p *Problem) PredIndex() int {
 	return -1
 }
 
-// NumPredicted counts the predicted jobs.
-func (p *Problem) NumPredicted() int {
-	n := 0
-	for _, j := range p.Jobs {
-		if j.Predicted {
-			n++
-		}
-	}
-	return n
-}
-
 // WithoutPred returns a copy of the problem with the predicted job removed
 // (the Sec 4.1 fallback). Jobs are shared, not cloned.
 func (p *Problem) WithoutPred() *Problem {

@@ -334,3 +334,14 @@ func TestScheduleScratchMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// NumPredicted counts the predicted jobs.
+func (p *Problem) NumPredicted() int {
+	n := 0
+	for _, j := range p.Jobs {
+		if j.Predicted {
+			n++
+		}
+	}
+	return n
+}

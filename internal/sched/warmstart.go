@@ -37,23 +37,11 @@ type WarmState struct {
 // Valid reports whether the state holds a recorded activation.
 func (ws *WarmState) Valid() bool { return ws != nil && ws.valid }
 
-// Invalidate empties the state; the next Delta reports no previous solve.
-func (ws *WarmState) Invalidate() {
-	if ws == nil {
-		return
-	}
-	ws.valid = false
-	ws.jobs = ws.jobs[:0]
-	ws.res = ws.res[:0]
-	ws.fps = ws.fps[:0]
-	clear(ws.byJob)
-}
-
 // Record remembers mapping as the solution of p. Jobs mapped to Unmapped
 // (a rejected predicted job, say) are skipped: they carry no assignment
 // worth repairing. The jobs slice is retained by pointer, which also keeps
 // the Job values reachable; callers that tear down a simulation should
-// Invalidate or drop the WarmState with it.
+// drop the WarmState with it.
 func (ws *WarmState) Record(p *Problem, mapping []int) {
 	ws.jobs = ws.jobs[:0]
 	ws.res = ws.res[:0]
@@ -85,13 +73,6 @@ func (ws *WarmState) Record(p *Problem, mapping []int) {
 func driftHash(j *Job, r int) uint64 {
 	return mix64(math.Float64bits(j.Rem(r)) ^ 0xd6e8feb86659fd93)
 }
-
-// EntryFingerprint exposes the fingerprint of a single entry normalised
-// to activation time t — the per-entry term of the multiset digest that
-// EntryList maintains incrementally (see fingerprint.go). It exists for
-// tests and external consumers of the fingerprint machinery; EntryList
-// users get the digest for free via FeasFingerprint.
-func EntryFingerprint(t float64, e Entry) uint64 { return entryHash(t, e) }
 
 // MappingDelta describes how a problem differs from the activation a
 // WarmState recorded. The zero value is ready to use; Delta reuses its

@@ -136,3 +136,22 @@ func TestEntryFingerprintMatchesListDigest(t *testing.T) {
 		t.Fatal("entry fingerprints equal but list digests differ")
 	}
 }
+
+// Invalidate empties the state; the next Delta reports no previous solve.
+func (ws *WarmState) Invalidate() {
+	if ws == nil {
+		return
+	}
+	ws.valid = false
+	ws.jobs = ws.jobs[:0]
+	ws.res = ws.res[:0]
+	ws.fps = ws.fps[:0]
+	clear(ws.byJob)
+}
+
+// EntryFingerprint exposes the fingerprint of a single entry normalised
+// to activation time t — the per-entry term of the multiset digest that
+// EntryList maintains incrementally (see fingerprint.go). It exists for
+// tests and external consumers of the fingerprint machinery; EntryList
+// users get the digest for free via FeasFingerprint.
+func EntryFingerprint(t float64, e Entry) uint64 { return entryHash(t, e) }

@@ -140,13 +140,3 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, s.decisions[id])
 }
-
-// Decisions returns a copy of every decision taken so far, in request-id
-// order.
-func (s *Server) Decisions() []DecisionRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DecisionRecord, len(s.decisions))
-	copy(out, s.decisions)
-	return out
-}

@@ -79,10 +79,11 @@ type Config struct {
 	// the engine's StateProbe, giving the wall-clock server the same live
 	// introspection surface the simulator has.
 	Plane *obs.Plane
-	// DrainPoll caps how long Shutdown sleeps between drain checks
-	// (default 25ms of real time).
-	DrainPoll time.Duration
 }
+
+// drainPoll caps how long Shutdown sleeps, in real time, between drain
+// checks.
+const drainPoll = 25 * time.Millisecond
 
 // Server is a running wall-clock RM service. Create with New, expose with
 // Listen (or mount Handler yourself), and always call Shutdown — it stops
@@ -114,9 +115,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = NewWallClock(1)
-	}
-	if cfg.DrainPoll <= 0 {
-		cfg.DrainPoll = 25 * time.Millisecond
 	}
 	if cfg.Plane != nil {
 		// The plane publishes every decision; a caller-supplied probe still
@@ -316,8 +314,8 @@ func (s *Server) drain(ctx context.Context) error {
 		if d < time.Millisecond {
 			d = time.Millisecond
 		}
-		if d > s.cfg.DrainPoll {
-			d = s.cfg.DrainPoll
+		if d > drainPoll {
+			d = drainPoll
 		}
 		select {
 		case <-ctx.Done():

@@ -445,3 +445,13 @@ func (w *recordingWriter) Write(b []byte) (int, error) {
 	}
 	return w.buf.Write(b)
 }
+
+// Decisions returns a copy of every decision taken so far, in request-id
+// order.
+func (s *Server) Decisions() []DecisionRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]DecisionRecord, len(s.decisions))
+	copy(out, s.decisions)
+	return out
+}

@@ -54,30 +54,6 @@ func (t *Type) NumExecutable() int {
 	return n
 }
 
-// MinWCET returns the smallest WCET over executable resources and the
-// resource achieving it.
-func (t *Type) MinWCET() (wcet float64, resource int) {
-	wcet, resource = NotExecutable, -1
-	for i, c := range t.WCET {
-		if t.ExecutableOn(i) && c < wcet {
-			wcet, resource = c, i
-		}
-	}
-	return wcet, resource
-}
-
-// MinEnergy returns the smallest energy over executable resources and the
-// resource achieving it.
-func (t *Type) MinEnergy() (energy float64, resource int) {
-	energy, resource = NotExecutable, -1
-	for i, e := range t.Energy {
-		if t.ExecutableOn(i) && e < energy {
-			energy, resource = e, i
-		}
-	}
-	return energy, resource
-}
-
 // Validate checks internal consistency against a platform of n resources.
 func (t *Type) Validate(n int) error {
 	if len(t.WCET) != n || len(t.Energy) != n {
