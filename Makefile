@@ -50,10 +50,14 @@ allocs:
 # of the heuristic) beyond the committed seed corpus, asserting Solve
 # matches the seed implementation with and without provenance and cache,
 # then random jobs, types and migration policies, asserting the per-job
-# cost terms the heuristic hoists equal Job.CPM/EPM bit for bit.
+# cost terms the heuristic hoists equal Job.CPM/EPM bit for bit, then
+# random entry lists probed at shifting activation times through a
+# 64-slot feasibility cache (collisions, slots left from earlier
+# activations), asserting every verdict equals the uncached check.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzJobTermsMatchCPM$$' -fuzztime=10s
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzFeasCacheMatchesDirect$$' -fuzztime=10s
 
 # benchmod vets and tests the end-to-end benchmark harness, a module of its
 # own under bench/ that ./... at the root never reaches. go test, unlike

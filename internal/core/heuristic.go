@@ -70,16 +70,16 @@ type Heuristic struct {
 	// lookup, and never reach the cache (sched.EntryList.Feasible); on a
 	// platform without prediction the cache therefore sees no probes. A
 	// cached verdict is by construction the verdict the probe would have
-	// computed, so decisions are unchanged. Nil (the zero value) keeps
-	// every probe direct and skips the fingerprint upkeep.
+	// computed, so decisions are unchanged. The heuristic's placement
+	// probes rarely recur across activations: a predicted run scores
+	// almost no hits (DESIGN.md §10.1). Nil (the zero value) keeps every
+	// probe direct.
 	Cache *sched.FeasCache
 
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
-	solves, infeasible   *telemetry.Counter
-	problemJobs          *telemetry.Histogram
-	repairs, repairFail  *telemetry.Counter
-	cacheHits, cacheMiss *telemetry.Counter
-	cacheRate            *telemetry.Gauge
+	solves, infeasible *telemetry.Counter
+	problemJobs        *telemetry.Histogram
+	cacheCounters      CacheCounters
 
 	// prov, when attached, records candidate feasibility verdicts and the
 	// regret placement order (nil-safe no-op otherwise; the hot path pays
@@ -105,8 +105,8 @@ type Heuristic struct {
 	unassigned []int
 
 	// pr is the EDF probe context: scratch, Cache and the per-solve batched
-	// hit/miss counts (flushed into Cache and the instruments). delta is
-	// the Repair scratch.
+	// cache counts (flushed into cacheCounters). delta is the Repair
+	// scratch.
 	pr    sched.Probe
 	delta sched.MappingDelta
 
@@ -121,34 +121,41 @@ var _ telemetry.Instrumentable = (*Heuristic)(nil)
 var _ telemetry.ProvenanceAware = (*Heuristic)(nil)
 
 // AttachMetrics registers the heuristic's instruments on reg: counters
-// core.solves and core.infeasible, histogram core.problem_jobs, the
-// warm-start counters core.warmstart.repairs / core.warmstart.repair_fail
-// (Repair attempts and fallbacks), and the probe-cache counters
-// core.cache.hits / core.cache.misses plus the core.cache.hit_rate gauge
-// (all zero while Cache is nil or no probed list holds a future release).
+// core.solves and core.infeasible, histogram core.problem_jobs, and the
+// probe-cache counters core.cache.hits / .misses / .evictions (all zero
+// while Cache is nil or no probed list holds a future release).
 func (h *Heuristic) AttachMetrics(reg *telemetry.Registry) {
 	h.solves = reg.Counter("core.solves")
 	h.infeasible = reg.Counter("core.infeasible")
 	h.problemJobs = reg.Histogram("core.problem_jobs", telemetry.CountBuckets)
-	h.repairs = reg.Counter("core.warmstart.repairs")
-	h.repairFail = reg.Counter("core.warmstart.repair_fail")
-	h.cacheHits = reg.Counter("core.cache.hits")
-	h.cacheMiss = reg.Counter("core.cache.misses")
-	h.cacheRate = reg.Gauge("core.cache.hit_rate")
+	h.cacheCounters = NewCacheCounters(reg, "core")
 }
 
-// flushCacheStats folds the batched probe counters into the cache and the
-// instruments. Cheap no-op without a cache.
-func (h *Heuristic) flushCacheStats() {
-	pr := &h.pr
-	if pr.Cache == nil {
-		return
+// CacheCounters are a solver's <prefix>.cache.hits / .misses / .evictions
+// counters (nil-safe no-ops in the zero value). Readers derive the hit
+// rate from the first two.
+type CacheCounters struct {
+	hits, misses, evictions *telemetry.Counter
+}
+
+// NewCacheCounters registers the cache counters under prefix on reg.
+func NewCacheCounters(reg *telemetry.Registry, prefix string) CacheCounters {
+	return CacheCounters{
+		hits:      reg.Counter(prefix + ".cache.hits"),
+		misses:    reg.Counter(prefix + ".cache.misses"),
+		evictions: reg.Counter(prefix + ".cache.evictions"),
 	}
-	pr.Cache.AddStats(pr.Hits, pr.Misses)
-	h.cacheHits.Add(pr.Hits)
-	h.cacheMiss.Add(pr.Misses)
-	pr.Hits, pr.Misses = 0, 0
-	h.cacheRate.Set(pr.Cache.Stats().HitRate())
+}
+
+// Flush adds pr's batched cache counts to the counters and zeroes them.
+func (c CacheCounters) Flush(pr *sched.Probe) {
+	if pr.Hits+pr.Misses == 0 {
+		return // no probe reached the cache, so none evicted either
+	}
+	c.hits.Add(pr.Hits)
+	c.misses.Add(pr.Misses)
+	c.evictions.Add(pr.Evictions)
+	pr.Hits, pr.Misses, pr.Evictions = 0, 0, 0
 }
 
 // AttachProvenance installs the decision-provenance recorder
@@ -195,9 +202,6 @@ func (h *Heuristic) reset(p *sched.Problem) {
 	for r := 0; r < n; r++ {
 		h.capacity[r] = window
 		h.lists[r].Reset()
-		if h.Cache != nil {
-			h.lists[r].EnableFingerprint(p.Time)
-		}
 	}
 }
 
@@ -207,7 +211,6 @@ func (h *Heuristic) reset(p *sched.Problem) {
 func (h *Heuristic) Solve(p *sched.Problem) Decision {
 	h.solves.Inc()
 	h.problemJobs.Observe(float64(len(p.Jobs)))
-	h.Cache.Advance()
 	h.reset(p)
 	mapping := h.mapping[:len(p.Jobs)]
 
@@ -226,7 +229,7 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 	if failJob := h.place(unassigned, h.Greedy, h.prov.Enabled()); failJob >= 0 {
 		return h.fail(failJob)
 	}
-	h.flushCacheStats()
+	h.cacheCounters.Flush(&h.pr)
 	out := append([]int(nil), mapping...)
 	return Decision{Mapping: out, Feasible: true, Energy: p.Energy(out)}
 }
@@ -529,7 +532,7 @@ func (h *Heuristic) recordPlaced(ji, r int, des float64) {
 // resource picture for the job that could not be placed.
 func (h *Heuristic) fail(failJob int) Decision {
 	h.infeasible.Inc()
-	h.flushCacheStats()
+	h.cacheCounters.Flush(&h.pr)
 	if h.prov.Enabled() {
 		h.recordExcluded(failJob)
 	}

@@ -48,17 +48,13 @@ func repairMaxDelta(jobs int) int {
 // allocates nothing. Provenance is not recorded: repair output seeds and
 // bounds other searches, it is never itself an admission decision.
 func (h *Heuristic) Repair(p *sched.Problem, ws *sched.WarmState) (mapping []int, energy float64, ok bool) {
-	h.repairs.Inc()
 	if !ws.Delta(p, &h.delta) {
-		h.repairFail.Inc()
 		return nil, 0, false
 	}
 	d := &h.delta
 	if d.Added+d.Removed > repairMaxDelta(len(p.Jobs)) {
-		h.repairFail.Inc()
 		return nil, 0, false
 	}
-	h.Cache.Advance()
 	h.reset(p)
 
 	// Retain: re-book every surviving job on its previous resource (pinned
@@ -97,13 +93,12 @@ func (h *Heuristic) Repair(p *sched.Problem, ws *sched.WarmState) (mapping []int
 	if h.place(added, false, false) >= 0 {
 		return h.repairFailed()
 	}
-	h.flushCacheStats()
+	h.cacheCounters.Flush(&h.pr)
 	return mapping, p.Energy(mapping), true
 }
 
-// repairFailed counts and reports an abandoned repair.
+// repairFailed reports an abandoned repair.
 func (h *Heuristic) repairFailed() ([]int, float64, bool) {
-	h.repairFail.Inc()
-	h.flushCacheStats()
+	h.cacheCounters.Flush(&h.pr)
 	return nil, 0, false
 }

@@ -74,8 +74,9 @@ func TestCacheHitsAcrossActivations(t *testing.T) {
 	if hits <= firstHits {
 		t.Fatalf("re-solving an identical activation gained no cache hits (%d -> %d)", firstHits, hits)
 	}
-	if rate := reg.Gauge("exact.cache.hit_rate").Value(); rate <= 0 || rate > 1 {
-		t.Fatalf("hit rate gauge %v outside (0,1]", rate)
+	misses := reg.Counter("exact.cache.misses").Value()
+	if rate := float64(hits) / float64(hits+misses); rate <= 0 || rate > 1 {
+		t.Fatalf("hit rate %v outside (0,1]", rate)
 	}
 }
 

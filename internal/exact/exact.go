@@ -94,9 +94,7 @@ type Optimal struct {
 	// Telemetry instruments (nil-safe no-ops until AttachMetrics).
 	mSolves, mTruncated, mInfeasible *telemetry.Counter
 	mNodes                           *telemetry.Histogram
-	mCacheHits, mCacheMisses         *telemetry.Counter
-	mCacheEvict                      *telemetry.Counter
-	gCacheRate                       *telemetry.Gauge
+	cacheCounters                    core.CacheCounters
 	mWarmAttempts, mWarmSeeded       *telemetry.Counter
 	mWarmFail, mWarmCuts             *telemetry.Counter
 
@@ -141,10 +139,9 @@ type Optimal struct {
 	warmCuts   int
 
 	// The probe context: the EDF scratch, the cross-activation
-	// feasibility cache (see CacheSlots) and the batched probe counters,
-	// flushed into the cache per Solve.
-	probe     sched.Probe
-	lastEvict int64
+	// feasibility cache (see CacheSlots) and the batched cache counts,
+	// flushed into cacheCounters per Solve.
+	probe sched.Probe
 }
 
 // feasible checks resource res's current entry list, going through the
@@ -167,8 +164,8 @@ func (o *Optimal) AttachProvenance(rec *telemetry.ProvRecorder) {
 }
 
 // recordBB appends this solve's branch-and-bound statistics to the
-// provenance recorder. Must run before flushCacheStats, which zeroes the
-// batched cache probe deltas the record reports.
+// provenance recorder. Must run before the cache counters' Flush, which
+// zeroes the batched cache probe counts the record reports.
 func (o *Optimal) recordBB() {
 	if !o.prov.Enabled() {
 		return
@@ -206,20 +203,16 @@ func (o *Optimal) BudgetUsed() core.BudgetUse {
 // AttachMetrics registers the solver's instruments on reg: counters
 // exact.solves, exact.truncated, and exact.infeasible, plus the histogram
 // exact.nodes (branch-and-bound nodes per solve). The pruning cache adds
-// exact.cache.hits / exact.cache.misses / exact.cache.evictions and the
-// lifetime exact.cache.hit_rate gauge. Warm starting adds
-// exact.warmstart.attempts / .seeded (repairs that produced a bound — the
-// seed-feasible rate is their ratio) / .repair_fail / .bound_cuts
-// (subtrees cut by the warm bound alone, a nodes-saved proxy).
+// exact.cache.hits / exact.cache.misses / exact.cache.evictions. Warm
+// starting adds exact.warmstart.attempts / .seeded (repairs that produced
+// a bound — the seed-feasible rate is their ratio) / .repair_fail /
+// .bound_cuts (subtrees cut by the warm bound alone, a nodes-saved proxy).
 func (o *Optimal) AttachMetrics(reg *telemetry.Registry) {
 	o.mSolves = reg.Counter("exact.solves")
 	o.mTruncated = reg.Counter("exact.truncated")
 	o.mInfeasible = reg.Counter("exact.infeasible")
 	o.mNodes = reg.Histogram("exact.nodes", telemetry.NodeBuckets)
-	o.mCacheHits = reg.Counter("exact.cache.hits")
-	o.mCacheMisses = reg.Counter("exact.cache.misses")
-	o.mCacheEvict = reg.Counter("exact.cache.evictions")
-	o.gCacheRate = reg.Gauge("exact.cache.hit_rate")
+	o.cacheCounters = core.NewCacheCounters(reg, "exact")
 	o.mWarmAttempts = reg.Counter("exact.warmstart.attempts")
 	o.mWarmSeeded = reg.Counter("exact.warmstart.seeded")
 	o.mWarmFail = reg.Counter("exact.warmstart.repair_fail")
@@ -251,7 +244,6 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	if o.probe.Cache == nil && o.CacheSlots >= 0 {
 		o.probe.Cache = sched.NewFeasCache(o.CacheSlots)
 	}
-	o.probe.Cache.Advance()
 
 	n := p.Platform.Len()
 	m := len(p.Jobs)
@@ -265,9 +257,6 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 	}
 	for i := 0; i < n; i++ {
 		o.lists[i].Reset()
-		if o.probe.Cache != nil {
-			o.lists[i].EnableFingerprint(p.Time)
-		}
 	}
 
 	// Pre-assign pinned jobs and collect free ones.
@@ -293,7 +282,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 			o.mSolves.Inc()
 			o.mInfeasible.Inc()
 			o.recordBB()
-			o.flushCacheStats()
+			o.cacheCounters.Flush(&o.probe)
 			return core.Decision{Mapping: append([]int(nil), o.mapping...), Feasible: false}
 		}
 	}
@@ -333,7 +322,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		o.mTruncated.Inc()
 	}
 	o.recordBB()
-	o.flushCacheStats()
+	o.cacheCounters.Flush(&o.probe)
 	if !o.found {
 		// An infeasible solve records nothing: the previous state stays —
 		// surviving jobs still match by pointer on the next activation.
@@ -392,23 +381,6 @@ func (o *Optimal) prepareWarmBound(pinnedEnergy float64) {
 	o.warmBound = u
 	o.warmSeeded = true
 	o.mWarmSeeded.Inc()
-}
-
-// flushCacheStats folds the batched probe counters into the cache and the
-// telemetry instruments.
-func (o *Optimal) flushCacheStats() {
-	pr := &o.probe
-	if pr.Cache == nil {
-		return
-	}
-	pr.Cache.AddStats(pr.Hits, pr.Misses)
-	o.mCacheHits.Add(pr.Hits)
-	o.mCacheMisses.Add(pr.Misses)
-	pr.Hits, pr.Misses = 0, 0
-	s := pr.Cache.Stats()
-	o.mCacheEvict.Add(s.Evictions - o.lastEvict)
-	o.lastEvict = s.Evictions
-	o.gCacheRate.Set(s.HitRate())
 }
 
 func (o *Optimal) entry(jobIdx, r int) sched.Entry {

@@ -189,7 +189,8 @@ type Status struct {
 	// cache (zero when the heuristic engine is running).
 	FeasCache CacheStatus `json:"feascache"`
 	// HeuristicCache summarises the heuristic's probe cache
-	// (core.Heuristic.Cache; zero unless warm-starting a heuristic engine).
+	// (core.Heuristic.Cache; zero unless a heuristic engine probes a list
+	// holding a predicted or future release).
 	HeuristicCache CacheStatus `json:"heuristic_cache"`
 	// Warmstart reports cross-activation warm-start activity: repair
 	// attempts and outcomes plus the warm bound's pruning work.
@@ -204,7 +205,9 @@ type Status struct {
 	Tracer TracerStatus `json:"tracer"`
 }
 
-// CacheStatus mirrors sched.CacheStats as exposed through telemetry.
+// CacheStatus reports a solver's feasibility cache from its
+// <solver>.cache.hits / .misses / .evictions counters; HitRate is derived
+// from the first two (0 before any probe).
 type CacheStatus struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
@@ -212,17 +215,16 @@ type CacheStatus struct {
 	Evictions int64   `json:"evictions"`
 }
 
-// WarmstartStatus aggregates the exact.warmstart.* and core.warmstart.*
-// counters: how often the previous activation's mapping was repaired into
-// a warm seed, how often repair fell back, and how many subtrees the warm
-// bound cut that the incumbent bound had missed.
+// WarmstartStatus aggregates the exact.warmstart.* counters: how often
+// the previous activation's mapping was repaired into a warm seed, how
+// often repair fell back, and how many subtrees the warm bound cut that
+// the incumbent bound had missed.
 type WarmstartStatus struct {
-	Attempts       int64   `json:"attempts"`
-	Seeded         int64   `json:"seeded"`
-	SeedRate       float64 `json:"seed_rate"`
-	RepairFailed   int64   `json:"repair_failed"`
-	BoundCuts      int64   `json:"bound_cuts"`
-	HeuristicFails int64   `json:"heuristic_repair_failed"`
+	Attempts     int64   `json:"attempts"`
+	Seeded       int64   `json:"seeded"`
+	SeedRate     float64 `json:"seed_rate"`
+	RepairFailed int64   `json:"repair_failed"`
+	BoundCuts    int64   `json:"bound_cuts"`
 }
 
 // SolverStatus aggregates solver activity and resilience counters.
@@ -259,26 +261,14 @@ func (p *Plane) CurrentStatus() Status {
 	}
 	if snap := p.driverSnapshot(); snap != nil {
 		c := snap.Counters
-		hits, misses := c["exact.cache.hits"], c["exact.cache.misses"]
-		st.FeasCache = CacheStatus{
-			Hits:      hits,
-			Misses:    misses,
-			HitRate:   finiteOr(float64(hits)/float64(hits+misses), 0),
-			Evictions: c["exact.cache.evictions"],
-		}
-		hHits, hMisses := c["core.cache.hits"], c["core.cache.misses"]
-		st.HeuristicCache = CacheStatus{
-			Hits:    hHits,
-			Misses:  hMisses,
-			HitRate: finiteOr(float64(hHits)/float64(hHits+hMisses), 0),
-		}
+		st.FeasCache = cacheStatus(c, "exact")
+		st.HeuristicCache = cacheStatus(c, "core")
 		st.Warmstart = WarmstartStatus{
-			Attempts:       c["exact.warmstart.attempts"],
-			Seeded:         c["exact.warmstart.seeded"],
-			SeedRate:       finiteOr(float64(c["exact.warmstart.seeded"])/float64(c["exact.warmstart.attempts"]), 0),
-			RepairFailed:   c["exact.warmstart.repair_fail"],
-			BoundCuts:      c["exact.warmstart.bound_cuts"],
-			HeuristicFails: c["core.warmstart.repair_fail"],
+			Attempts:     c["exact.warmstart.attempts"],
+			Seeded:       c["exact.warmstart.seeded"],
+			SeedRate:     finiteOr(float64(c["exact.warmstart.seeded"])/float64(c["exact.warmstart.attempts"]), 0),
+			RepairFailed: c["exact.warmstart.repair_fail"],
+			BoundCuts:    c["exact.warmstart.bound_cuts"],
 		}
 		st.Solver = SolverStatus{
 			ExactSolves:     c["exact.solves"],
@@ -308,6 +298,17 @@ func (p *Plane) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(p.CurrentStatus())
+}
+
+// cacheStatus reads one solver's cache counters (prefix "exact" or "core").
+func cacheStatus(c map[string]int64, prefix string) CacheStatus {
+	hits, misses := c[prefix+".cache.hits"], c[prefix+".cache.misses"]
+	return CacheStatus{
+		Hits:      hits,
+		Misses:    misses,
+		HitRate:   finiteOr(float64(hits)/float64(hits+misses), 0),
+		Evictions: c[prefix+".cache.evictions"],
+	}
 }
 
 // reasonCounters extracts the counters under one reason-histogram prefix.

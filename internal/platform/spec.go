@@ -1,9 +1,20 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
+
+// maxSpecResources bounds a spec's total resource count, so a short spec
+// string cannot ask the task generator for per-resource tables of
+// millions of columns. Checking it digit by digit also keeps a long count
+// from overflowing.
+const maxSpecResources = 1 << 20
+
+// ErrSpecTooLarge reports a spec whose tokens add up to more than 1<<20
+// resources.
+var ErrSpecTooLarge = errors.New("platform: spec exceeds 1048576 resources in total")
 
 // Pool is one homogeneous group of resources: Count resources of one
 // Kind. Pools generalise the historical New(cpus, gpus) shape — a
@@ -71,6 +82,7 @@ func Parse(spec string) (*Platform, error) {
 		return nil, fmt.Errorf("platform: empty spec (want e.g. %q)", "5c1g")
 	}
 	var pools []Pool
+	total := 0
 	for i := 0; i < len(s); {
 		start := i
 		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
@@ -86,10 +98,11 @@ func Parse(spec string) (*Platform, error) {
 		count := 0
 		for _, d := range s[start:i] {
 			count = count*10 + int(d-'0')
-			if count > 1<<20 {
-				return nil, fmt.Errorf("platform: spec %q: token %q: count out of range", spec, s[start:i+1])
+			if total+count > maxSpecResources {
+				return nil, fmt.Errorf("%w (spec %q, at token %q)", ErrSpecTooLarge, spec, s[start:i+1])
 			}
 		}
+		total += count
 		pools = append(pools, Pool{Kind: kind, Count: count})
 		i++
 	}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,25 @@ func TestParseSpecErrorsNameBadToken(t *testing.T) {
 		_, err := Parse(c.spec)
 		if err == nil {
 			t.Fatalf("Parse(%q): expected error", c.spec)
+		}
+		if !strings.Contains(err.Error(), c.token) {
+			t.Fatalf("Parse(%q) error %q does not name %q", c.spec, err, c.token)
+		}
+	}
+}
+
+// TestParseBoundsTotal: a spec of more than 1<<20 resources, in one
+// token or in several that each fit, is refused with ErrSpecTooLarge
+// naming the token that crossed the bound, before any platform is built.
+func TestParseBoundsTotal(t *testing.T) {
+	for _, c := range []struct{ spec, token string }{
+		{"1048576c1048576c1048576c1048576c", "1048576c"},
+		{"4c1048573g", "1048573g"},
+		{"99999999999999999999999c", "99999999999999999999999c"},
+	} {
+		_, err := Parse(c.spec)
+		if !errors.Is(err, ErrSpecTooLarge) {
+			t.Fatalf("Parse(%q): error %v, want ErrSpecTooLarge", c.spec, err)
 		}
 		if !strings.Contains(err.Error(), c.token) {
 			t.Fatalf("Parse(%q) error %q does not name %q", c.spec, err, c.token)

@@ -26,22 +26,13 @@ type EntryList struct {
 	entries []Entry
 	future  int
 	pinned  int // length of the pinned prefix group
-
-	// Incremental feasibility-fingerprint state (see fingerprint.go).
-	// While fpOn, fpXor/fpSum hold an order-independent multiset digest
-	// of the entries with times normalised to fpT, maintained by
-	// Insert/Remove at O(1) extra cost per operation.
-	fpOn         bool
-	fpT          float64
-	fpXor, fpSum uint64
 }
 
-// Reset empties the list, retaining capacity and the fingerprint setting.
+// Reset empties the list, retaining capacity.
 func (l *EntryList) Reset() {
 	l.entries = l.entries[:0]
 	l.future = 0
 	l.pinned = 0
-	l.fpXor, l.fpSum = 0, 0
 }
 
 // Len returns the number of entries.
@@ -74,11 +65,6 @@ func (l *EntryList) Insert(t float64, e Entry) int {
 	if e.ReadyAt > t+Eps {
 		l.future++
 	}
-	if l.fpOn {
-		h := entryHash(l.fpT, e)
-		l.fpXor ^= h
-		l.fpSum += h
-	}
 	return lo
 }
 
@@ -92,26 +78,21 @@ func (l *EntryList) Remove(t float64, pos int) {
 	if s[pos].PinnedFirst {
 		l.pinned--
 	}
-	if l.fpOn {
-		h := entryHash(l.fpT, s[pos])
-		l.fpXor ^= h
-		l.fpSum -= h
-	}
 	copy(s[pos:], s[pos+1:])
 	l.entries = s[:len(s)-1]
 }
 
-// Probe is one caller's context for EntryList.Feasible: the EDF scratch
+// Probe is one solver's context for EntryList.Feasible: the EDF scratch
 // the simulation runs on, the optional cross-activation feasibility cache
-// and the probe statistics batched caller-side, so a probe pays no
-// per-probe atomics. The caller folds Hits/Misses into the cache and its
-// instruments (FeasCache.AddStats) once per solve and zeroes them. The
-// zero value probes directly, with no cache. A Probe is not safe for
-// concurrent use.
+// and the cache's probe counts — lookups answered (Hits) and not (Misses),
+// and stores that overwrote another key's verdict (Evictions). The owner
+// adds the counts to its telemetry counters once per solve and zeroes
+// them. The zero value probes directly, with no cache. A Probe is not
+// safe for concurrent use.
 type Probe struct {
-	Cache        *FeasCache
-	Hits, Misses int64
-	edf          EDFScratch
+	Cache                   *FeasCache
+	Hits, Misses, Evictions int64
+	edf                     EDFScratch
 }
 
 // Feasible reports whether the list is EDF-schedulable on its resource
@@ -119,8 +100,8 @@ type Probe struct {
 // release is present, the EDF simulation on pr's scratch otherwise. A nil
 // pr probes on per-call buffers.
 //
-// A cache on pr fronts the EDF simulation only: the list's incremental
-// fingerprint (which must be enabled) keys a lookup, and only a miss
+// A cache on pr fronts the EDF simulation only: the list's fingerprint at
+// t, computed from the entries on demand, keys a lookup, and only a miss
 // simulates, storing the verdict. The cumulative scan is O(entries) over
 // a contiguous slice and cheaper than the table's random read, so a list
 // without future releases never touches the cache. A cached verdict is
@@ -140,14 +121,16 @@ func (l *EntryList) Feasible(preemptable bool, t float64, pr *Probe, v *FeasVerd
 	if pr == nil || pr.Cache == nil || v != nil || l.future == 0 {
 		return l.check(preemptable, t, s, v)
 	}
-	fp := l.FeasFingerprint(preemptable)
+	fp := l.fingerprint(preemptable, t)
 	if ok, hit := pr.Cache.Lookup(fp); hit {
 		pr.Hits++
 		return ok
 	}
 	pr.Misses++
 	ok := l.check(preemptable, t, s, nil)
-	pr.Cache.Store(fp, ok)
+	if pr.Cache.Store(fp, ok) {
+		pr.Evictions++
+	}
 	return ok
 }
 

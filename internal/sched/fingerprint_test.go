@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"testing"
 
 	"predrm/internal/rng"
@@ -37,8 +36,6 @@ func TestFingerprintMultiset(t *testing.T) {
 			entries[i] = randEntry(r, now)
 		}
 		var a, b EntryList
-		a.EnableFingerprint(now)
-		b.EnableFingerprint(now)
 		for _, e := range entries {
 			a.Insert(now, e)
 		}
@@ -46,25 +43,25 @@ func TestFingerprintMultiset(t *testing.T) {
 		for i := n - 1; i >= 0; i-- {
 			b.Insert(now, entries[i])
 		}
-		if a.FeasFingerprint(true) != b.FeasFingerprint(true) {
+		if a.fingerprint(true, now) != b.fingerprint(true, now) {
 			t.Fatalf("trial %d: same multiset, different fingerprints", trial)
 		}
-		if a.FeasFingerprint(true) == a.FeasFingerprint(false) {
+		if a.fingerprint(true, now) == a.fingerprint(false, now) {
 			t.Fatalf("trial %d: preemption mode not part of the key", trial)
 		}
 		// A duplicated entry must not cancel out of the digest.
 		dup := entries[r.Intn(n)]
 		pos1 := a.Insert(now, dup)
 		pos2 := a.Insert(now, dup)
-		with2 := a.FeasFingerprint(true)
+		with2 := a.fingerprint(true, now)
 		a.Remove(now, pos2)
-		with1 := a.FeasFingerprint(true)
+		with1 := a.fingerprint(true, now)
 		a.Remove(now, pos1)
-		back := a.FeasFingerprint(true)
+		back := a.fingerprint(true, now)
 		if with2 == back || with1 == back || with2 == with1 {
 			t.Fatalf("trial %d: duplicate entries collapsed in the digest", trial)
 		}
-		if back != b.FeasFingerprint(true) {
+		if back != b.fingerprint(true, now) {
 			t.Fatalf("trial %d: insert/remove did not restore the digest", trial)
 		}
 	}
@@ -72,16 +69,15 @@ func TestFingerprintMultiset(t *testing.T) {
 
 // TestFingerprintChurn: under an arbitrary interleaving of Insert and
 // Remove — the exact access pattern of the repair path, which retains a
-// previous mapping and then trial-places the delta — the incrementally
-// maintained digest must at every step equal the digest of a fresh list
-// rebuilt from the surviving multiset. A divergence here would silently
-// poison the cross-activation feasibility cache.
+// previous mapping and then trial-places the delta — the key of the
+// churned list must at every step equal the key of a fresh list rebuilt
+// from the surviving multiset. A divergence here would silently poison
+// the cross-activation feasibility cache.
 func TestFingerprintChurn(t *testing.T) {
 	r := rng.New(1234)
 	now := 17.25
 	for trial := 0; trial < 50; trial++ {
 		var l EntryList
-		l.EnableFingerprint(now)
 		var live []Entry
 		var pos []int // pos[i] is the list position entry live[i] occupies
 		for step := 0; step < 120; step++ {
@@ -113,13 +109,12 @@ func TestFingerprintChurn(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			var fresh EntryList
-			fresh.EnableFingerprint(now)
 			for _, e := range live {
 				fresh.Insert(now, e)
 			}
 			for _, pre := range []bool{false, true} {
-				if l.FeasFingerprint(pre) != fresh.FeasFingerprint(pre) {
-					t.Fatalf("trial %d step %d preemptable=%v: incremental digest diverged from rebuilt list (%d live entries)",
+				if l.fingerprint(pre, now) != fresh.fingerprint(pre, now) {
+					t.Fatalf("trial %d step %d preemptable=%v: churned list's key differs from the rebuilt list's (%d live entries)",
 						trial, step, pre, len(live))
 				}
 			}
@@ -132,113 +127,89 @@ func TestFingerprintChurn(t *testing.T) {
 // cache effective across RM activations.
 func TestFingerprintShiftInvariance(t *testing.T) {
 	var a, b EntryList
-	a.EnableFingerprint(10)
-	b.EnableFingerprint(500)
 	for _, rel := range []struct{ ready, dl, rem float64 }{
 		{0, 20, 5}, {3.5, 40, 7.25}, {0, 12.5, 1},
 	} {
 		a.Insert(10, Entry{ReadyAt: 10 + rel.ready, Deadline: 10 + rel.dl, Rem: rel.rem})
 		b.Insert(500, Entry{ReadyAt: 500 + rel.ready, Deadline: 500 + rel.dl, Rem: rel.rem})
 	}
-	if a.FeasFingerprint(true) != b.FeasFingerprint(true) {
+	if a.fingerprint(true, 10) != b.fingerprint(true, 500) {
 		t.Fatal("time-shifted identical relative state produced different keys")
 	}
 }
 
 // TestFeasCacheBasics: store/lookup round-trips, unknown keys miss, and
-// the sweep retires entries that stop being touched.
+// Store reports an eviction only when it overwrites another key.
 func TestFeasCacheBasics(t *testing.T) {
 	c := NewFeasCache(64)
 	fp := Fp{Hi: 0xdeadbeefcafef00d, Lo: 0x12345}
 	if _, ok := c.Lookup(fp); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	c.Store(fp, true)
+	if c.Store(fp, true) {
+		t.Fatal("store into an empty slot reported an eviction")
+	}
 	if v, ok := c.Lookup(fp); !ok || !v {
 		t.Fatalf("lookup after store: v=%v ok=%v", v, ok)
 	}
-	c.Store(fp, false) // same key, updated verdict (cannot happen in use, but must not corrupt)
+	// Same key, updated verdict (cannot happen in use, but must not corrupt).
+	if c.Store(fp, false) {
+		t.Fatal("overwriting the same key reported an eviction")
+	}
 	if v, ok := c.Lookup(fp); !ok || v {
 		t.Fatalf("overwrite lost: v=%v ok=%v", v, ok)
 	}
 	// A colliding key (same slot, different tag) evicts.
 	fp2 := Fp{Hi: 0x1111111111111110, Lo: fp.Lo}
-	c.Store(fp2, true)
+	if !c.Store(fp2, true) {
+		t.Fatal("eviction not reported")
+	}
 	if _, ok := c.Lookup(fp); ok {
 		t.Fatal("evicted key still present")
 	}
-	if s := c.Stats(); s.Evictions == 0 {
-		t.Fatal("eviction not counted")
-	}
-	// Epoch sweep: untouched entries die after TTLEpochs+slack advances.
-	for i := 0; i < TTLEpochs+3; i++ {
-		c.Advance()
-	}
-	if _, ok := c.Lookup(fp2); ok {
-		t.Fatal("sweep did not retire a stale entry")
-	}
-	if s := c.Stats(); s.Swept == 0 {
-		t.Fatal("sweep not counted")
-	}
 }
 
-// TestFeasCacheKeepsHotEntries: a key touched every epoch survives far
-// beyond the TTL.
-func TestFeasCacheKeepsHotEntries(t *testing.T) {
-	c := NewFeasCache(64)
-	fp := Fp{Hi: 0xabcdef, Lo: 7}
-	c.Store(fp, true)
-	for i := 0; i < 4*TTLEpochs; i++ {
-		c.Advance()
-		if _, ok := c.Lookup(fp); !ok {
-			t.Fatalf("hot entry retired at epoch %d", i)
+// TestFeasCacheStaleSlotAnswers: nothing retires a slot but a colliding
+// store. A verdict stored at one activation still answers, with its
+// stored truth, when the same relative state recurs many activations
+// later, across probes of other states in between.
+func TestFeasCacheStaleSlotAnswers(t *testing.T) {
+	pr := Probe{Cache: NewFeasCache(0)}
+	probe := func(now, rem float64) bool {
+		var l EntryList
+		l.Insert(now, Entry{ReadyAt: now, Deadline: now + 6, Rem: 2})
+		l.Insert(now, Entry{ReadyAt: now + 1.5, Deadline: now + 4, Rem: rem})
+		return l.Feasible(true, now, &pr, nil)
+	}
+	// Rem 2 fits by the relative deadline 4; rem 3.5 does not.
+	for _, c := range []struct {
+		rem  float64
+		want bool
+	}{{2, true}, {3.5, false}} {
+		pr.Hits, pr.Misses = 0, 0
+		if got := probe(10, c.rem); got != c.want || pr.Misses != 1 {
+			t.Fatalf("rem %v: first probe %v (want %v), misses %d", c.rem, got, c.want, pr.Misses)
+		}
+		for act := 1; act <= 200; act++ {
+			now := 10 + float64(act)*0.25
+			probe(now, 0.5+float64(act%7)*0.125) // other states in between
+			before := pr.Hits
+			if got := probe(now, c.rem); got != c.want || pr.Hits != before+1 {
+				t.Fatalf("rem %v activation %d: got %v (want %v), hit=%v",
+					c.rem, act, got, c.want, pr.Hits == before+1)
+			}
 		}
 	}
 }
 
-// TestFeasCacheConcurrent hammers one cache from several goroutines under
-// the race detector: concurrent Lookup/Store on overlapping keys must stay
-// safe, and any hit must return the stored truth for that key (keys encode
-// their verdict here so a cross-key corruption is detectable).
-func TestFeasCacheConcurrent(t *testing.T) {
-	c := NewFeasCache(256)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			r := rng.New(seed)
-			for i := 0; i < 20000; i++ {
-				k := uint64(r.Intn(512))
-				// Verdict derived from the key: hits are verifiable.
-				want := k%3 == 0
-				fp := Fp{Hi: mix64(k) &^ 1, Lo: mix64(k ^ 0x5bd1e995)}
-				if v, ok := c.Lookup(fp); ok && v != want {
-					panic("cache returned a verdict for the wrong key")
-				}
-				c.Store(fp, want)
-			}
-		}(uint64(w + 1))
-	}
-	wg.Wait()
-	c.AddStats(10, 5)
-	if s := c.Stats(); s.Hits != 10 || s.Misses != 5 || s.HitRate() < 0.6 || s.HitRate() > 0.7 {
-		t.Fatalf("stats: %+v rate %v", s, s.HitRate())
-	}
-}
-
-// TestFeasCacheNil: every method must be nil-safe so a disabled cache
-// costs one branch.
+// TestFeasCacheNil: Lookup and Store are nil-safe.
 func TestFeasCacheNil(t *testing.T) {
 	var c *FeasCache
 	if _, ok := c.Lookup(Fp{Hi: 1, Lo: 1}); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Store(Fp{Hi: 1, Lo: 1}, true)
-	c.Advance()
-	c.AddStats(1, 1)
-	if s := c.Stats(); s != (CacheStats{}) {
-		t.Fatalf("nil stats: %+v", s)
+	if c.Store(Fp{Hi: 1, Lo: 1}, true) {
+		t.Fatal("nil cache evicted")
 	}
 }
 
@@ -252,7 +223,6 @@ func TestFeasibleCacheFrontsEDFOnly(t *testing.T) {
 	c := NewFeasCache(64)
 	pr := Probe{Cache: c}
 	var l EntryList
-	l.EnableFingerprint(now)
 	l.Insert(now, Entry{ReadyAt: now, Deadline: now + 10, Rem: 3})
 	l.Insert(now, Entry{ReadyAt: now, Deadline: now + 6, Rem: 2})
 	want := FeasibleSorted(now, l.Entries())
@@ -265,7 +235,7 @@ func TestFeasibleCacheFrontsEDFOnly(t *testing.T) {
 		t.Fatalf("scan probes counted hits=%d misses=%d", pr.Hits, pr.Misses)
 	}
 	for i := range c.slots {
-		if c.slots[i].Load() != 0 {
+		if c.slots[i] != 0 {
 			t.Fatalf("scan probe wrote slot %d", i)
 		}
 	}
@@ -275,10 +245,73 @@ func TestFeasibleCacheFrontsEDFOnly(t *testing.T) {
 	if got := l.Feasible(true, now, &pr, nil); got != want || pr.Hits != 0 || pr.Misses != 1 {
 		t.Fatalf("first EDF probe: %v (want %v), hits=%d misses=%d", got, want, pr.Hits, pr.Misses)
 	}
-	if ok, hit := c.Lookup(l.FeasFingerprint(true)); !hit || ok != want {
+	if ok, hit := c.Lookup(l.fingerprint(true, now)); !hit || ok != want {
 		t.Fatalf("EDF verdict not stored: hit=%v ok=%v", hit, ok)
 	}
 	if got := l.Feasible(true, now, &pr, nil); got != want || pr.Hits != 1 || pr.Misses != 1 {
 		t.Fatalf("second EDF probe: %v (want %v), hits=%d misses=%d", got, want, pr.Hits, pr.Misses)
 	}
+}
+
+// FuzzFeasCacheMatchesDirect: random entry lists, some with future
+// releases and some pinned, probed at shifting activation times through
+// one Probe whose 64-slot cache forces collisions and answers from slots
+// stored at earlier activations. Every verdict must equal the uncached
+// check. States recur by drawing from a small pool of relative states;
+// times lie on a 1/16 grid, so shifting a state is exact in float64 and
+// the test isolates the cache from the rounding at the Eps boundary that
+// DESIGN.md §7.2 accepts.
+func FuzzFeasCacheMatchesDirect(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rng.New(seed)
+		grid := func(lo, hi int) float64 { return float64(lo+r.Intn(hi-lo+1)) / 16 }
+		randState := func() []Entry {
+			rel := make([]Entry, 1+r.Intn(6))
+			for i := range rel {
+				rel[i] = Entry{Deadline: grid(16, 400), Rem: grid(8, 80)}
+				if r.Float64() < 0.3 {
+					rel[i].ReadyAt = grid(1, 80)
+				}
+				rel[i].PinnedFirst = r.Float64() < 0.15
+			}
+			return rel
+		}
+		pool := make([][]Entry, 40)
+		for i := range pool {
+			pool[i] = randState()
+		}
+		pr := Probe{Cache: NewFeasCache(64)}
+		var direct EDFScratch
+		var l EntryList
+		probes := int64(0)
+		for act := 0; act < 60; act++ {
+			now := grid(0, 1<<16)
+			for k := 0; k < 12; k++ {
+				rel := pool[r.Intn(len(pool))]
+				if r.Float64() < 0.2 {
+					rel = randState()
+				}
+				l.Reset()
+				for _, e := range rel {
+					l.Insert(now, Entry{ReadyAt: now + e.ReadyAt, Deadline: now + e.Deadline, Rem: e.Rem, PinnedFirst: e.PinnedFirst})
+				}
+				pre := r.Float64() < 0.5
+				want := l.check(pre, now, &direct, nil)
+				if got := l.Feasible(pre, now, &pr, nil); got != want {
+					t.Fatalf("activation %d probe %d at t=%v: cached verdict %v, direct %v (entries %+v)",
+						act, k, now, got, want, l.entries)
+				}
+				if l.future > 0 {
+					probes++
+				}
+			}
+		}
+		if pr.Hits+pr.Misses != probes || pr.Evictions > pr.Misses {
+			t.Fatalf("counts: hits %d + misses %d, want %d EDF probes; evictions %d",
+				pr.Hits, pr.Misses, probes, pr.Evictions)
+		}
+	})
 }

@@ -119,20 +119,18 @@ func TestWarmStateSkipsUnmapped(t *testing.T) {
 }
 
 func TestEntryFingerprintMatchesListDigest(t *testing.T) {
-	// EntryFingerprint is the per-entry term of the incremental multiset
-	// digest: a single-entry list's digest must be derived from exactly it,
-	// so two entries with equal fingerprints produce equal list digests.
+	// EntryFingerprint is the per-entry term of the multiset digest: a
+	// single-entry list's digest must be derived from exactly it, so two
+	// entries with equal fingerprints produce equal list digests.
 	e := Entry{ReadyAt: 5, Deadline: 25, Rem: 3.5}
 	shifted := Entry{ReadyAt: 105, Deadline: 125, Rem: 3.5}
 	if EntryFingerprint(5, e) != EntryFingerprint(105, shifted) {
 		t.Fatal("time-shifted identical entry changed fingerprint")
 	}
 	var a, b EntryList
-	a.EnableFingerprint(5)
-	b.EnableFingerprint(105)
 	a.Insert(5, e)
 	b.Insert(105, shifted)
-	if a.FeasFingerprint(true) != b.FeasFingerprint(true) {
+	if a.fingerprint(true, 5) != b.fingerprint(true, 105) {
 		t.Fatal("entry fingerprints equal but list digests differ")
 	}
 }
@@ -151,7 +149,5 @@ func (ws *WarmState) Invalidate() {
 
 // EntryFingerprint exposes the fingerprint of a single entry normalised
 // to activation time t — the per-entry term of the multiset digest that
-// EntryList maintains incrementally (see fingerprint.go). It exists for
-// tests and external consumers of the fingerprint machinery; EntryList
-// users get the digest for free via FeasFingerprint.
+// EntryList.fingerprint computes (see fingerprint.go).
 func EntryFingerprint(t float64, e Entry) uint64 { return entryHash(t, e) }
