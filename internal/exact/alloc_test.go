@@ -17,7 +17,7 @@ import (
 // TestOptimalSolveAllocBudget: a warm solver's allocations do not grow
 // with the free jobs it orders — the branching orders are sorted in
 // place — leaving the heuristic incumbent's and the returned decision's
-// mappings.
+// mappings. An infeasible solve returns no mapping and allocates nothing.
 func TestOptimalSolveAllocBudget(t *testing.T) {
 	plat := platform.Default()
 	set, err := task.Generate(plat, task.DefaultGenConfig(), rng.New(5))
@@ -33,9 +33,18 @@ func TestOptimalSolveAllocBudget(t *testing.T) {
 	for _, p := range problems {
 		o.Solve(p)
 	}
+	infeasible := 0
 	for i, p := range problems {
-		if got := testing.AllocsPerRun(10, func() { o.Solve(p) }); got > 2 {
-			t.Fatalf("problem %d (%d jobs): Solve makes %v allocs, budget 2", i, len(p.Jobs), got)
+		budget := 2.0
+		if !o.Solve(p).Feasible {
+			budget = 0
+			infeasible++
 		}
+		if got := testing.AllocsPerRun(10, func() { o.Solve(p) }); got > budget {
+			t.Fatalf("problem %d (%d jobs): Solve makes %v allocs, budget %v", i, len(p.Jobs), got, budget)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no infeasible problem: the zero budget went unchecked")
 	}
 }

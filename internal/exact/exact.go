@@ -7,7 +7,8 @@
 // with branch and bound: depth-first over jobs, resources tried in
 // increasing-energy order, partial assignments pruned by per-resource EDF
 // infeasibility (adding work to a resource can never repair it) and by an
-// energy lower bound against the incumbent. The search is seeded with
+// energy lower bound against the incumbent — on hard solves one that also
+// prices each resource's deadline-bounded capacity. The search is seeded with
 // Algorithm 1's solution, so the result is never worse than the heuristic
 // and equals the MILP optimum whenever the node budget is not exhausted.
 //
@@ -38,7 +39,8 @@ const DefaultNodeLimit = 300000
 type Stats struct {
 	// Nodes is the number of branch-and-bound nodes expanded. The count
 	// is exact and never exceeds the node limit, so a node budget stops
-	// the search at the same node on every run.
+	// the search at the same node on every run. A child that the priced
+	// bound cuts before its EDF probe is not expanded and not counted.
 	Nodes int
 	// Truncated reports whether the node budget ran out before the search
 	// space was exhausted; if false the result is the exact optimum.
@@ -53,6 +55,12 @@ type Stats struct {
 }
 
 // Optimal is the exact mapping solver. The zero value is ready to use.
+//
+// Its lower bound is the larger of two: every free job on its cheapest
+// resource, and — on a solve that has expanded 256 nodes — the same with
+// each resource's capacity up to every free-job deadline priced in by
+// Lagrangian multipliers (DESIGN.md §7.3). Both are valid, so the bound
+// only decides how many nodes a solve takes, never what it returns.
 //
 // An Optimal is not safe for concurrent use: it keeps per-solve state,
 // and Solve must be called from one goroutine at a time. Solve runs its
@@ -121,6 +129,7 @@ type Optimal struct {
 	found    bool
 	nodes    int
 	limit    int
+	pinnedE  float64   // energy of the pinned and fixed jobs
 	minE     []float64 // per free-job minimum EPM (lower-bound term)
 	sufMinE  []float64 // suffix sums of minE over the branching order
 	resOrder [][]int   // per free job, resources sorted by EPM
@@ -129,6 +138,20 @@ type Optimal struct {
 	// during the search.
 	cand  [][]sched.Entry
 	candE [][]float64
+
+	// Capacity pricing (price, DESIGN.md §7.3): the node count at which
+	// the current solve prices, whether it has, and the priced bound's
+	// terms — per-depth reweighted candidate costs candL (parallel to
+	// candE), suffix sums of their per-depth minima, the constant lagK
+	// (capacity term plus safety margin) and the priced energy of the
+	// current path at each depth. The multiplier scratch lives in lag.
+	priceAt int
+	priced  bool
+	candL   [][]float64
+	sufLag  []float64
+	pathLag []float64
+	lagK    float64
+	lag     lagScratch
 
 	// Warm-start state (WarmStart field): the previous activation's
 	// recorded mapping, the current solve's pruning bound (+Inf when
@@ -220,9 +243,17 @@ func (o *Optimal) AttachMetrics(reg *telemetry.Registry) {
 }
 
 // Solve returns the minimum-energy feasible mapping of p, or an infeasible
-// decision when none exists.
+// decision, which carries no mapping, when none exists.
 func (o *Optimal) Solve(p *sched.Problem) core.Decision {
+	return o.solve(p, priceAfter)
+}
+
+// solve is Solve with capacity pricing starting at node priceAt
+// (1 prices at the root, 0 never).
+func (o *Optimal) solve(p *sched.Problem, priceAt int) core.Decision {
 	o.p = p
+	o.priceAt = priceAt
+	o.priced = false
 	o.limit = o.NodeLimit
 	if o.limit <= 0 {
 		o.limit = DefaultNodeLimit
@@ -273,6 +304,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		free = append(free, idx)
 	}
 	o.free = free
+	o.pinnedE = pinnedEnergy
 	// Pinned-only feasibility: if the immovable work already misses
 	// deadlines nothing can fix it (cannot happen after a sound admission
 	// history, but guard anyway).
@@ -283,7 +315,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 			o.mInfeasible.Inc()
 			o.recordBB()
 			o.cacheCounters.Flush(&o.probe)
-			return core.Decision{Mapping: append([]int(nil), o.mapping...), Feasible: false}
+			return core.Decision{}
 		}
 	}
 
@@ -327,7 +359,7 @@ func (o *Optimal) Solve(p *sched.Problem) core.Decision {
 		// An infeasible solve records nothing: the previous state stays —
 		// surviving jobs still match by pointer on the next activation.
 		o.mInfeasible.Inc()
-		return core.Decision{Mapping: append([]int(nil), o.mapping...), Feasible: false}
+		return core.Decision{}
 	}
 	if o.WarmStart {
 		o.warm.Record(p, o.bestMap)
@@ -470,8 +502,15 @@ func (o *Optimal) dfs(depth int, energy float64) {
 		o.wallHit = true
 		return
 	}
-	// Bound: even the cheapest completion cannot beat the incumbent.
+	if o.nodes == o.priceAt {
+		o.price(depth)
+	}
+	// Bound: even the cheapest completion — priced, once the solve has
+	// priced capacity — cannot beat the incumbent.
 	lb := energy + o.sufMinE[depth]
+	if o.priced {
+		lb = max(lb, o.pathLag[depth]+o.sufLag[depth]-o.lagK)
+	}
 	if lb >= o.bestE-sched.Eps {
 		return
 	}
@@ -491,6 +530,15 @@ func (o *Optimal) dfs(depth int, energy float64) {
 	}
 	jobIdx := o.order[depth]
 	for ri, r := range o.resOrder[depth] {
+		if o.priced {
+			// The child's priced bound, checked before its probe: a child
+			// it cuts costs neither an EDF probe nor a node.
+			lag := o.pathLag[depth] + o.candL[depth][ri]
+			if lag+o.sufLag[depth+1]-o.lagK >= o.bestE-sched.Eps {
+				continue
+			}
+			o.pathLag[depth+1] = lag
+		}
 		pos := o.lists[r].Insert(o.p.Time, o.cand[depth][ri])
 		if o.feasible(r) {
 			o.mapping[jobIdx] = r
