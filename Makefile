@@ -8,10 +8,11 @@ GOFMT ?= gofmt
 # end-to-end test, including the sharded epochs' concurrent shard solves
 # and the wall-clock server), run the allocation budgets the race build
 # skips, audit the golden trace with the replay checker, fuzz the
-# heuristic against its seed implementation, smoke-run the rmsim and
-# experiments command-line wiring, vet and test the bench/ module against
-# the current API, and gate the hot-path benchmarks against the committed
-# baseline (skip: BENCHCHECK=0).
+# heuristic against its seed implementation and the trace reader and spec
+# parser against hostile input, smoke-run the rmsim and experiments
+# command-line wiring and the examples, vet and test the bench/ module
+# against the current API, and gate the hot-path benchmarks against the
+# committed baseline (skip: BENCHCHECK=0).
 check: vet fmtcheck build race allocs fuzz tracecheck cli benchmod benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
@@ -53,11 +54,17 @@ allocs:
 # cost terms the heuristic hoists equal Job.CPM/EPM bit for bit, then
 # random entry lists probed at shifting activation times through a
 # 64-slot feasibility cache (collisions, slots left from earlier
-# activations), asserting every verdict equals the uncached check.
+# activations), asserting every verdict equals the uncached check. Then
+# arbitrary JSONL through the trace reader, timeline, report, exporters,
+# auditor, diff and explanation, and arbitrary platform specs through
+# platform.Parse and its Spec round trip: hostile input yields
+# diagnostics or errors, never a panic.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzJobTermsMatchCPM$$' -fuzztime=10s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzFeasCacheMatchesDirect$$' -fuzztime=10s
+	$(GO) test ./internal/traceview -run '^$$' -fuzz '^FuzzDecodeTimeline$$' -fuzztime=10s
+	$(GO) test ./internal/platform -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s
 
 # benchmod vets and tests the end-to-end benchmark harness, a module of its
 # own under bench/ that ./... at the root never reaches. go test, unlike
@@ -92,12 +99,12 @@ tracecheck:
 # budgeted fallback chain with injected faults, the exact engine running
 # out of a node budget inside that chain, batch epochs on one and on two
 # shards, the Gantt view), a tracegen -> rmsim -taskset/-trace round
-# trip, and two one-trace experiments (the MILP-vs-heuristic table and
-# the telemetry report with -metrics-out).
+# trip, two one-trace experiments (the MILP-vs-heuristic table and the
+# telemetry report with -metrics-out), and every program under examples/.
 # Any non-zero exit fails it; rmsim exits 1 on a deadline miss.
 cli:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/" ./cmd/rmsim ./cmd/tracegen ./cmd/experiments; \
+	$(GO) build -o "$$tmp/" ./cmd/rmsim ./cmd/tracegen ./cmd/experiments ./examples/...; \
 	run() { echo "cli: rmsim $$*"; "$$tmp/rmsim" "$$@" >/dev/null; }; \
 	run -predict -len 120 -seed 7; \
 	run -engine greedy; \
@@ -112,4 +119,7 @@ cli:
 	exp() { echo "cli: experiments $$*"; "$$tmp/experiments" "$$@" >/dev/null; }; \
 	exp -exp milp-vs-heuristic -traces 1 -len 30; \
 	exp -exp telemetry -traces 1 -len 30 -metrics-out "$$tmp/m.json"; \
+	for d in examples/*/; do \
+		ex=$$(basename "$$d"); echo "cli: example $$ex"; "$$tmp/$$ex" >/dev/null; \
+	done; \
 	echo "cli: ok"

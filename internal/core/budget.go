@@ -266,8 +266,8 @@ func attempt(s Solver, p *sched.Problem) (d Decision, err error, panicked bool) 
 }
 
 // arrivingID returns the trace id of the arriving request in p — the
-// largest job id, since active jobs are earlier requests and predicted or
-// critical planning copies carry negative ids — or -1 when the problem
+// largest job id, since active jobs are earlier requests and predicted
+// planning copies carry negative ids — or -1 when the problem
 // holds none (solver invoked outside the admission protocol).
 func arrivingID(p *sched.Problem) int {
 	id := -1

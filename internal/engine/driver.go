@@ -32,6 +32,4 @@ type Driver interface {
 	InFlight() int
 	// Requests counts activations so far.
 	Requests() int
-	// HasAdaptiveWork reports whether driver-submitted jobs remain active.
-	HasAdaptiveWork() bool
 }

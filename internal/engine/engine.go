@@ -1,10 +1,9 @@
 // Package engine is the activation engine shared by every driver of the
 // paper's admission protocol: one request's worth of RM work — arrival
-// intake, problem assembly (active jobs + arriving job + predicted jobs +
-// upcoming critical releases), the admission protocol, applying the
-// resulting mapping with migration charging, and executing the planned
-// EDF schedule (including reservations for predicted tasks) between
-// activations.
+// intake, problem assembly (active jobs + arriving job + predicted jobs),
+// the admission protocol, applying the resulting mapping with migration
+// charging, and executing the planned EDF schedule (including
+// reservations for predicted tasks) between activations.
 //
 // The engine is clock-agnostic: it never reads wall time. A driver owns
 // the clock and pushes time into the engine — the discrete-event
@@ -43,7 +42,6 @@ import (
 	"time"
 
 	"predrm/internal/core"
-	"predrm/internal/critical"
 	"predrm/internal/platform"
 	"predrm/internal/predict"
 	"predrm/internal/sched"
@@ -67,11 +65,6 @@ type Config struct {
 	// single-step prediction; larger values require a Predictor that
 	// implements predict.MultiPredictor (the library's extension).
 	Lookahead int
-	// Critical is the design-time safety-critical workload (Sec 2); nil
-	// disables it. Critical jobs release periodically on their static
-	// resources with guaranteed service: every adaptive admission accounts
-	// for the upcoming critical releases inside its decision window.
-	Critical *critical.Set
 	// Policy selects migration charging (default ChargeStartedOnly).
 	Policy sched.MigrationPolicy
 	// OverheadHook, when non-nil, contributes additional per-request
@@ -140,8 +133,7 @@ type StateSample struct {
 	// DeadlineMisses counts accepted jobs that finished late so far (0 for
 	// a sound RM).
 	DeadlineMisses int `json:"deadline_misses"`
-	// InFlight is the number of currently active jobs (adaptive and
-	// critical).
+	// InFlight is the number of currently active jobs.
 	InFlight int `json:"in_flight"`
 	// Resources holds one entry per platform resource, indexed by id.
 	Resources []ResourceSample `json:"resources"`
@@ -227,12 +219,6 @@ type Result struct {
 	// DeadlineMisses counts accepted jobs that finished late (must be 0
 	// for a sound RM).
 	DeadlineMisses int
-	// CriticalJobs counts critical releases served; CriticalEnergy their
-	// consumption (not included in TotalEnergy); CriticalMisses their
-	// deadline violations (must be 0).
-	CriticalJobs   int
-	CriticalEnergy float64
-	CriticalMisses int
 	// MakeSpan is when the last accepted job finished.
 	MakeSpan float64
 	// Execution is the executed schedule when Config.RecordExecution is
@@ -285,7 +271,6 @@ type planSeg struct {
 type instruments struct {
 	requests, accepted, rejected     *telemetry.Counter
 	predictions, migrations          *telemetry.Counter
-	criticalReleases                 *telemetry.Counter
 	resvPlanned, resvHonoured        *telemetry.Counter
 	solverSec, replanSec, advanceSec *telemetry.Histogram
 	activeJobs                       *telemetry.Histogram
@@ -298,19 +283,18 @@ type instruments struct {
 // the metrics describe the same admission protocol regardless of driver.
 func newInstruments(reg *telemetry.Registry) instruments {
 	return instruments{
-		requests:         reg.Counter("sim.requests"),
-		accepted:         reg.Counter("sim.accepted"),
-		rejected:         reg.Counter("sim.rejected"),
-		predictions:      reg.Counter("sim.predictions"),
-		migrations:       reg.Counter("sim.migrations"),
-		criticalReleases: reg.Counter("sim.critical_releases"),
-		resvPlanned:      reg.Counter("sim.reservations_planned"),
-		resvHonoured:     reg.Counter("sim.reservations_honoured"),
-		solverSec:        reg.Histogram("sim.solver_seconds", telemetry.LatencyBuckets),
-		replanSec:        reg.Histogram("sim.replan_seconds", telemetry.LatencyBuckets),
-		advanceSec:       reg.Histogram("sim.advance_seconds", telemetry.LatencyBuckets),
-		activeJobs:       reg.Histogram("sim.active_jobs", telemetry.CountBuckets),
-		activePeak:       reg.Gauge("sim.active_jobs_peak"),
+		requests:     reg.Counter("sim.requests"),
+		accepted:     reg.Counter("sim.accepted"),
+		rejected:     reg.Counter("sim.rejected"),
+		predictions:  reg.Counter("sim.predictions"),
+		migrations:   reg.Counter("sim.migrations"),
+		resvPlanned:  reg.Counter("sim.reservations_planned"),
+		resvHonoured: reg.Counter("sim.reservations_honoured"),
+		solverSec:    reg.Histogram("sim.solver_seconds", telemetry.LatencyBuckets),
+		replanSec:    reg.Histogram("sim.replan_seconds", telemetry.LatencyBuckets),
+		advanceSec:   reg.Histogram("sim.advance_seconds", telemetry.LatencyBuckets),
+		activeJobs:   reg.Histogram("sim.active_jobs", telemetry.CountBuckets),
+		activePeak:   reg.Gauge("sim.active_jobs_peak"),
 	}
 }
 
@@ -328,8 +312,6 @@ type Engine struct {
 	plan [][]planSeg
 	// exec accumulates executed segments per resource (RecordExecution).
 	exec [][]ExecSegment
-	// criticalNext tracks the next release index per critical task.
-	criticalNext []int
 	// trc and ins are the run's telemetry handles (nil-safe no-ops when
 	// telemetry is disabled).
 	trc *telemetry.Tracer
@@ -350,10 +332,6 @@ type Engine struct {
 	// Config.Provenance is on; it is Reset at every activation and
 	// snapshotted into the EvDecision event.
 	prov *telemetry.ProvRecorder
-	// critEnergy accumulates per-job energy for critical releases (adaptive
-	// jobs use their JobRecord), so job_finish can report consumption.
-	// Trace-only, like running.
-	critEnergy map[*sched.Job]float64
 	// finished counts completed adaptive jobs, for StateProbe samples.
 	finished int
 	// The activation buffers, reused at every activation so that one
@@ -396,7 +374,6 @@ func New(cfg Config) (*Engine, error) {
 	r.preds = r.predBuf[:0]
 	if r.trc != nil {
 		r.running = make([]*sched.Job, cfg.Platform.Len())
-		r.critEnergy = make(map[*sched.Job]float64)
 	}
 	if cfg.Metrics != nil {
 		if inst, ok := cfg.Solver.(telemetry.Instrumentable); ok {
@@ -409,30 +386,24 @@ func New(cfg Config) (*Engine, error) {
 			pa.AttachProvenance(r.prov)
 		}
 	}
-	if cfg.Critical != nil {
-		if err := cfg.Critical.Validate(cfg.Platform); err != nil {
-			return nil, err
-		}
-		r.criticalNext = make([]int, len(cfg.Critical.Tasks))
-	}
 	return r, nil
 }
 
 // Now returns the engine's current time.
 func (r *Engine) Now() float64 { return r.now }
 
-// InFlight returns the number of currently active jobs (adaptive and
-// critical).
+// InFlight returns the number of currently active jobs.
 func (r *Engine) InFlight() int { return len(r.active) }
 
 // Requests returns the number of activations so far.
 func (r *Engine) Requests() int { return len(r.rec) }
 
-// AdvanceTo executes the standing schedule up to time t, materialising
-// critical releases on the way. Times before the engine's current time
-// are a no-op, so a wall-clock driver may call it freely.
+// AdvanceTo executes the standing schedule up to time t. Times before
+// the engine's current time are a no-op, so a wall-clock driver may call
+// it freely. It never fails; the error keeps the Driver signature.
 func (r *Engine) AdvanceTo(t float64) error {
-	return r.advanceTo(t)
+	r.advance(t)
+	return nil
 }
 
 // Activate runs one full RM activation for request req with driver-issued
@@ -510,9 +481,7 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 		})
 		r.res.Requests++
 		r.ins.requests.Inc()
-		if err := r.advanceTo(req.Arrival); err != nil {
-			return err
-		}
+		r.advance(req.Arrival)
 		// Emitted after advancing so the stream stays time-ordered: the
 		// execution events between two arrivals carry earlier timestamps.
 		if r.trc != nil {
@@ -534,9 +503,7 @@ func (r *Engine) activate(startIdx int, reqs []trace.Request, close float64, out
 	if r.cfg.OverheadHook != nil {
 		overhead += r.cfg.OverheadHook(startIdx, reqs[0].Arrival)
 	}
-	if err := r.advanceTo(math.Max(r.now, close+overhead)); err != nil {
-		return err
-	}
+	r.advance(math.Max(r.now, close+overhead))
 	if r.cfg.Audit {
 		if err := r.auditState(startIdx); err != nil {
 			return err
@@ -614,16 +581,15 @@ func (r *Engine) forecast(req int) {
 
 // decide runs the admission protocol for request idx at the current
 // time: it assembles the S̄ problem (active jobs, the arriving job, the
-// upcoming critical releases, the forecast), solves it and, on
-// admission, applies the mapping. It returns the outcome and the mapped
-// predicted jobs, reusing ghosts' storage (empty on rejection). The
-// problem lives in the engine's activation buffers.
+// forecast), solves it and, on admission, applies the mapping. It
+// returns the outcome and the mapped predicted jobs, reusing ghosts'
+// storage (empty on rejection). The problem lives in the engine's
+// activation buffers.
 func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome, []ghostRef, error) {
 	newJob := sched.NewJob(idx, r.cfg.TaskSet.Type(req.Type), req.Arrival, req.Deadline)
 	jobs := append(r.jobs[:0], r.active...)
 	newIdx := len(jobs)
 	jobs = append(jobs, newJob)
-	jobs = append(jobs, r.upcomingCritical(jobs)...)
 	jobs = append(jobs, r.preds...)
 	r.jobs = jobs
 
@@ -737,26 +703,13 @@ func (r *Engine) decide(idx int, req trace.Request, ghosts []ghostRef) (Outcome,
 	}, ghosts, nil
 }
 
-// Drain runs the remaining work out in engine time: critical releases are
-// served while adaptive work remains, then everything executes to
-// completion. The discrete-event simulator calls this after the last
-// arrival; a wall-clock driver that must not skip ahead of its clock
-// drains by polling AdvanceTo/HasAdaptiveWork instead and calls Drain
-// only to settle the final bookkeeping.
+// Drain executes the remaining work to completion in engine time. The
+// discrete-event simulator calls this after the last arrival; a
+// wall-clock driver that must not skip ahead of its clock drains by
+// polling AdvanceTo/InFlight instead and calls Drain only to settle the
+// final bookkeeping. It never fails; the error keeps the Driver
+// signature.
 func (r *Engine) Drain() error {
-	for r.HasAdaptiveWork() {
-		rel, ok := r.nextCriticalReleaseIfAny()
-		if !ok {
-			break
-		}
-		r.advance(rel)
-		if r.HasAdaptiveWork() {
-			r.materializeCritical(rel)
-			if err := r.replan(nil); err != nil {
-				return err
-			}
-		}
-	}
 	r.advance(math.Inf(1))
 	return nil
 }

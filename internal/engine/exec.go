@@ -179,67 +179,13 @@ func (r *Engine) flushReservations() {
 	r.pendingResv = nil
 }
 
-// advanceTo advances execution to target, materialising critical releases
-// on the way (each release joins the active set and triggers a replan).
-func (r *Engine) advanceTo(target float64) error {
-	if r.cfg.Critical == nil {
-		r.advance(target)
-		return nil
-	}
-	for {
-		rel, ok := r.nextCriticalRelease()
-		if !ok || rel >= target-sched.Eps {
-			break
-		}
-		r.advance(rel)
-		r.materializeCritical(rel)
-		if err := r.replan(nil); err != nil {
-			return err
-		}
-	}
-	r.advance(target)
-	return nil
-}
-
-// nextCriticalRelease returns the earliest unmaterialised release time.
-func (r *Engine) nextCriticalRelease() (float64, bool) {
-	best := math.Inf(1)
-	found := false
-	for tid, t := range r.cfg.Critical.Tasks {
-		if rel := t.ReleaseAt(r.criticalNext[tid]); rel < best {
-			best = rel
-			found = true
-		}
-	}
-	return best, found
-}
-
-// nextCriticalReleaseIfAny is nextCriticalRelease tolerating a nil set.
-func (r *Engine) nextCriticalReleaseIfAny() (float64, bool) {
-	if r.cfg.Critical == nil {
-		return 0, false
-	}
-	return r.nextCriticalRelease()
-}
-
-// HasAdaptiveWork reports whether any driver-submitted job is still
-// active (critical releases do not count).
-func (r *Engine) HasAdaptiveWork() bool {
-	for _, j := range r.active {
-		if j.ID >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NextWake returns the next engine time at which state changes on its own
-// — a running job completes, a plan-segment or reservation boundary
-// passes, or a critical release materialises — and false when nothing is
-// pending. A wall-clock driver sleeps until the wake time and calls
-// AdvanceTo; waking early is harmless (AdvanceTo is monotone), and the
-// reported time is exact, so completions are stamped at their true engine
-// times regardless of when the driver observes them.
+// — a running job completes, or a plan-segment or reservation boundary
+// passes — and false when nothing is pending. A wall-clock driver sleeps
+// until the wake time and calls AdvanceTo; waking early is harmless
+// (AdvanceTo is monotone), and the reported time is exact, so completions
+// are stamped at their true engine times regardless of when the driver
+// observes them.
 func (r *Engine) NextWake() (float64, bool) {
 	best := math.Inf(1)
 	for res := range r.plan {
@@ -250,9 +196,6 @@ func (r *Engine) NextWake() (float64, bool) {
 		if until < best {
 			best = until
 		}
-	}
-	if rel, ok := r.nextCriticalReleaseIfAny(); ok && rel < best {
-		best = rel
 	}
 	if math.IsInf(best, 1) {
 		return 0, false
@@ -285,43 +228,6 @@ func (r *Engine) planStep(res int) (job *sched.Job, run, until float64) {
 		return s.job, run, 0
 	}
 	return nil, 0, math.Inf(1)
-}
-
-// materializeCritical activates every critical job releasing at time rel.
-func (r *Engine) materializeCritical(rel float64) {
-	for tid, t := range r.cfg.Critical.Tasks {
-		k := r.criticalNext[tid]
-		if math.Abs(t.ReleaseAt(k)-rel) > sched.Eps {
-			continue
-		}
-		r.criticalNext[tid] = k + 1
-		j := r.cfg.Critical.Release(r.cfg.Platform, tid, k)
-		r.active = append(r.active, j)
-		r.res.CriticalJobs++
-		r.ins.criticalReleases.Inc()
-		if r.trc != nil {
-			e := telemetry.NewEvent(rel, telemetry.EvCriticalRelease)
-			e.Task = tid
-			e.Res = j.Resource
-			e.Value = float64(k)
-			r.trc.Emit(e)
-		}
-	}
-}
-
-// upcomingCritical returns planning copies of the critical releases within
-// the adaptive decision window of jobs.
-func (r *Engine) upcomingCritical(jobs []*sched.Job) []*sched.Job {
-	if r.cfg.Critical == nil {
-		return nil
-	}
-	horizon := r.now
-	for _, j := range jobs {
-		if j.AbsDeadline > horizon {
-			horizon = j.AbsDeadline
-		}
-	}
-	return r.cfg.Critical.UpcomingJobs(r.cfg.Platform, r.now, horizon)
 }
 
 // auditState verifies the standing schedule is still feasible (Config.Audit).
@@ -507,15 +413,8 @@ func (r *Engine) execute(j *sched.Job, res int, dt float64) {
 	}
 	j.Frac -= frac
 	energy := j.Type.Energy[res] * frac
-	if j.ID >= 0 {
-		r.rec[j.ID].Energy += energy
-		r.res.TotalEnergy += energy
-	} else {
-		r.res.CriticalEnergy += energy
-		if r.critEnergy != nil {
-			r.critEnergy[j] += energy
-		}
-	}
+	r.rec[j.ID].Energy += energy
+	r.res.TotalEnergy += energy
 	if j.Frac < sched.Eps {
 		j.Frac = 0
 	}
@@ -554,13 +453,7 @@ func (r *Engine) noteFinish(j *sched.Job) {
 	e.Req = j.ID
 	e.Task = j.Type.ID
 	e.Res = res
-	if j.ID >= 0 {
-		e.Value = r.rec[j.ID].Energy
-	} else {
-		e.Value = r.critEnergy[j]
-		e.Reason = telemetry.ReasonCritical
-		delete(r.critEnergy, j)
-	}
+	e.Value = r.rec[j.ID].Energy
 	r.trc.Emit(e)
 }
 
@@ -574,13 +467,6 @@ func (r *Engine) reap() {
 		}
 		if r.running != nil {
 			r.noteFinish(j)
-		}
-		if j.ID < 0 {
-			// Critical job: only the deadline audit applies.
-			if r.now > j.AbsDeadline+1e-6 {
-				r.res.CriticalMisses++
-			}
-			continue
 		}
 		r.finished++
 		rec := &r.rec[j.ID]

@@ -79,10 +79,9 @@ type sharded struct {
 // Engine over cfg (cfg.Solver from sc.NewSolver when nil), with more a
 // partition of cfg.Platform into sc.Shards shards and one engine per
 // shard. There the features whose state is inherently global — tracing,
-// provenance, critical workloads, prediction, the overhead hook — are
-// rejected rather than silently given per-shard semantics; Metrics and
-// StateProbe are supported globally (a shared registry, and globally
-// merged samples).
+// provenance, prediction, the overhead hook — are rejected rather than
+// silently given per-shard semantics; Metrics and StateProbe are
+// supported globally (a shared registry, and globally merged samples).
 func NewSharded(cfg Config, sc ShardConfig) (Driver, error) {
 	if sc.Shards < 0 {
 		return nil, fmt.Errorf("engine: negative shard count %d", sc.Shards)
@@ -104,8 +103,6 @@ func NewSharded(cfg Config, sc ShardConfig) (Driver, error) {
 		return nil, errors.New("engine: sharded does not support a tracer (per-shard event streams would interleave)")
 	case cfg.Provenance:
 		return nil, errors.New("engine: sharded does not support provenance recording")
-	case cfg.Critical != nil:
-		return nil, errors.New("engine: sharded does not support critical workloads (static global placements)")
 	case cfg.Predictor != nil:
 		return nil, errors.New("engine: sharded does not support prediction (per-shard predictors would observe partial streams)")
 	case cfg.OverheadHook != nil:
@@ -373,16 +370,6 @@ func (s *sharded) InFlight() int {
 // Requests counts activations routed so far.
 func (s *sharded) Requests() int {
 	return len(s.routes)
-}
-
-// HasAdaptiveWork reports whether any shard still has active jobs.
-func (s *sharded) HasAdaptiveWork() bool {
-	for si := range s.shards {
-		if s.shards[si].eng.HasAdaptiveWork() {
-			return true
-		}
-	}
-	return false
 }
 
 // Finalize merges the shard results into one platform-wide Result:

@@ -246,7 +246,7 @@ func (f *FaultySolver) BudgetUsed() core.BudgetUse {
 }
 
 // ArrivingID returns the trace id of the arriving request in pr (the
-// largest job id; predicted and critical planning copies are negative),
+// largest job id; predicted planning copies are negative),
 // or -1 when none.
 func ArrivingID(pr *sched.Problem) int {
 	id := -1

@@ -143,7 +143,7 @@ func (c *Chart) Render(w io.Writer, columns int) error {
 }
 
 // glyph maps a job ID to its chart character: digits for trace requests,
-// letters for critical (negative-ID) jobs.
+// letters for the negative IDs a foreign trace may carry.
 func glyph(id int) byte {
 	if id >= 0 {
 		return byte('0' + id%10)

@@ -26,7 +26,7 @@
 // package therefore never maps the predicted task to a non-preemptable
 // resource. A problem with several predicted jobs (the lookahead
 // extension) only encodes the first; and future-released Fixed jobs
-// (upcoming critical releases) are treated as ready now, which is
+// are treated as ready now, which is
 // conservative — the formulation may reject a schedulable instance but
 // never accepts an unschedulable one. The combinatorial optimum in
 // internal/exact has none of these restrictions and is what the

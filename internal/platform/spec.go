@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// maxSpecResources bounds a spec's total resource count, so a short spec
+// MaxResources bounds a spec's total resource count, so a short spec
 // string cannot ask the task generator for per-resource tables of
 // millions of columns. Checking it digit by digit also keeps a long count
-// from overflowing.
-const maxSpecResources = 1 << 20
+// from overflowing. Trace readers apply the same bound to resource ids.
+const MaxResources = 1 << 20
 
 // ErrSpecTooLarge reports a spec whose tokens add up to more than 1<<20
 // resources.
@@ -98,7 +98,7 @@ func Parse(spec string) (*Platform, error) {
 		count := 0
 		for _, d := range s[start:i] {
 			count = count*10 + int(d-'0')
-			if total+count > maxSpecResources {
+			if total+count > MaxResources {
 				return nil, fmt.Errorf("%w (spec %q, at token %q)", ErrSpecTooLarge, spec, s[start:i+1])
 			}
 		}

@@ -173,3 +173,28 @@ func TestPartitionErrors(t *testing.T) {
 		t.Fatal("expected error for more shards than resources")
 	}
 }
+
+// FuzzParse: Parse never panics on any string; a platform it accepts
+// holds between 1 and MaxResources resources, and its canonical Spec
+// parses back to the same Spec.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"5c1g", "64c8g", " 8C2G ", "2c1g2c", "0c0g", "4c1048573g", "c1g", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if n := p.Len(); n < 1 || n > MaxResources {
+			t.Fatalf("Parse(%q) built %d resources", spec, n)
+		}
+		q, err := Parse(p.Spec())
+		if err != nil {
+			t.Fatalf("Parse(%q).Spec() = %q does not parse: %v", spec, p.Spec(), err)
+		}
+		if q.Spec() != p.Spec() {
+			t.Fatalf("Parse(%q): Spec %q re-parses to %q", spec, p.Spec(), q.Spec())
+		}
+	})
+}

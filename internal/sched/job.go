@@ -77,10 +77,10 @@ type Job struct {
 	// Predicted marks the planning-only job for the predicted request.
 	Predicted bool
 	// Fixed marks a job whose mapping is not the resource manager's
-	// decision: a design-time-allocated safety-critical job (Sec 2). The
-	// solvers plan around it on its static Resource; unlike Predicted
-	// jobs, Fixed jobs really execute. A Fixed job's Arrival may lie in
-	// the future (a known upcoming critical release).
+	// decision: the solvers plan around it on its given Resource and
+	// never remap it. The engine never builds one; solver tests and the
+	// pinned digest problems use it for load that arrives on a resource
+	// of its own, possibly in the future.
 	Fixed bool
 }
 

@@ -345,3 +345,31 @@ func (p *Problem) NumPredicted() int {
 	}
 	return n
 }
+
+// TestFixedFutureJob: a Fixed job may arrive after the activation time
+// (a real job may not), and it is feasible only on its given resource
+// although its type runs everywhere.
+func TestFixedFutureJob(t *testing.T) {
+	plat := platform.Default()
+	wcet := make([]float64, plat.Len())
+	energy := make([]float64, plat.Len())
+	for i := range wcet {
+		wcet[i], energy[i] = 2, 1
+	}
+	j := NewJob(-1, &task.Type{ID: 0, WCET: wcet, Energy: energy}, 10, 5)
+	j.Resource = 0
+	p := &Problem{Platform: plat, Time: 5, Jobs: []*Job{j}}
+	if p.Validate() == nil {
+		t.Fatal("real job arriving after the activation accepted")
+	}
+	j.Fixed = true
+	if err := p.Validate(); err != nil {
+		t.Fatalf("future fixed job rejected: %v", err)
+	}
+	if !p.FeasibleMapping([]int{0}) {
+		t.Fatal("fixed job infeasible on its own resource")
+	}
+	if p.FeasibleMapping([]int{1}) {
+		t.Fatal("fixed job allowed on a different resource")
+	}
+}

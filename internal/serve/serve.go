@@ -67,8 +67,8 @@ type Config struct {
 	// that is nil); more runs the service on the sharded scale-out
 	// engine, which routes arrivals to platform shards by load and type
 	// affinity (DESIGN.md §12) and refuses a tracer, provenance, a
-	// predictor, critical tasks and an overhead hook. The server admits
-	// one request at a time, so BatchWindow is ignored.
+	// predictor and an overhead hook. The server admits one request at a
+	// time, so BatchWindow is ignored.
 	Shard engine.ShardConfig
 	// Clock drives the server; nil means a WallClock at speed 1 started
 	// when New is called. A *ManualClock switches the server to step mode:
@@ -202,9 +202,8 @@ func (s *Server) kickDispatcher() {
 // dispatch is the real-time executor: it repeatedly pushes the current
 // clock reading into the engine and sleeps until the engine's next
 // self-induced state change (job completion, plan-segment or reservation
-// boundary, critical release) — the wall-clock analogue of the
-// simulator's event loop, including the preemption points of the planned
-// EDF schedule.
+// boundary) — the wall-clock analogue of the simulator's event loop,
+// including the preemption points of the planned EDF schedule.
 func (s *Server) dispatch() {
 	defer close(s.dispDone)
 	timer := time.NewTimer(time.Hour)
@@ -297,14 +296,13 @@ func (s *Server) drain(ctx context.Context) error {
 	for {
 		s.mu.Lock()
 		err := s.eng.AdvanceTo(s.clock.Now())
-		working := s.eng.HasAdaptiveWork()
 		inFlight := s.eng.InFlight()
 		next, ok := s.eng.NextWake()
 		s.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		if !working {
+		if inFlight == 0 {
 			return nil
 		}
 		if !ok {

@@ -70,9 +70,7 @@ func RunSharded(cfg engine.Config, sc engine.ShardConfig, tr *trace.Trace) (*eng
 		}
 		i = j
 	}
-	// Drain: run until all adaptive work finishes, serving critical
-	// releases along the way, then let already-released critical jobs run
-	// out.
+	// Drain: run every admitted job to completion.
 	if err := eng.Drain(); err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ type CandidateVerdict struct {
 	// (index into Provenance.Attempts), or -1 outside the protocol.
 	Attempt int `json:"attempt"`
 	// Job is the trace id of the job being placed (negative for predicted
-	// or critical planning copies).
+	// planning copies).
 	Job int `json:"job"`
 	// Res is the candidate resource.
 	Res int `json:"res"`

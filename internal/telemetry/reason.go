@@ -36,10 +36,6 @@ const (
 	ReasonMigrated  = "migrated"
 	ReasonPaused    = "paused"
 
-	// EvJobFinish: critical releases are tagged; adaptive jobs carry no
-	// reason.
-	ReasonCritical = "critical"
-
 	// EvFaultInjected: which fault of the plan fired.
 	ReasonSolverError      = "solver_error"
 	ReasonLatencySpike     = "latency_spike"
@@ -60,7 +56,6 @@ func ReasonVocabulary() map[EventType][]string {
 		EvSolverFallback: {ReasonError, ReasonPanic, ReasonBudget, ReasonRejectOnly},
 		EvJobStart:       {ReasonStart, ReasonResume},
 		EvJobPreempt:     {ReasonDisplaced, ReasonMigrated, ReasonPaused},
-		EvJobFinish:      {ReasonCritical},
 		EvFaultInjected: {ReasonSolverError, ReasonLatencySpike,
 			ReasonPredictorOutage, ReasonPredictorCorrupt},
 	}

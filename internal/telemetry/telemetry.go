@@ -38,7 +38,7 @@ const (
 	EvPrediction EventType = "prediction"
 	// EvSolverInvoked: the admission protocol started for request Req.
 	// Value is the number of jobs in the problem (active + arriving +
-	// critical + predicted).
+	// predicted).
 	EvSolverInvoked EventType = "solver_invoked"
 	// EvSolverReturned: the admission protocol finished. WallNs is the
 	// measured solver latency; Reason is "feasible", "infeasible", or
@@ -55,9 +55,6 @@ const (
 	// EvMigration: the job of request Req was remapped to resource Res and
 	// charged; Value is the migration energy.
 	EvMigration EventType = "migration"
-	// EvCriticalRelease: critical task Task released onto its static
-	// resource Res; Value is the release index.
-	EvCriticalRelease EventType = "critical_release"
 	// EvReservationPlanned: a reservation for a predicted job was installed
 	// on resource Res at the activation for request Req; Value is the
 	// predicted arrival.
@@ -65,10 +62,9 @@ const (
 	// EvReservationHonoured: a standing reservation on resource Res was
 	// held idle until the next activation.
 	EvReservationHonoured EventType = "reservation_honoured"
-	// EvJobStart: the job of request Req (negative for a critical release)
-	// began or resumed executing on resource Res. Reason is "start" for the
-	// first dispatch and "resume" afterwards; Value is the remaining work
-	// fraction.
+	// EvJobStart: the job of request Req began or resumed executing on
+	// resource Res. Reason is "start" for the first dispatch and "resume"
+	// afterwards; Value is the remaining work fraction.
 	EvJobStart EventType = "job_start"
 	// EvJobPreempt: the job of request Req stopped executing on resource
 	// Res before completing. Reason is "displaced" (another job took the
@@ -78,8 +74,7 @@ const (
 	// occur on a non-preemptable resource.
 	EvJobPreempt EventType = "job_preempt"
 	// EvJobFinish: the job of request Req completed on resource Res.
-	// Value is the job's total consumed energy (including migrations);
-	// Reason is "critical" for critical releases.
+	// Value is the job's total consumed energy (including migrations).
 	EvJobFinish EventType = "job_finish"
 	// EvSolverFallback: the budgeted solver chain (core.BudgetedSolver)
 	// fell through to a deeper stage during the activation for request
@@ -109,7 +104,7 @@ const (
 func KnownEventTypes() []EventType {
 	return []EventType{
 		EvArrival, EvPrediction, EvSolverInvoked, EvSolverReturned,
-		EvAdmit, EvReject, EvMigration, EvCriticalRelease,
+		EvAdmit, EvReject, EvMigration,
 		EvReservationPlanned, EvReservationHonoured,
 		EvJobStart, EvJobPreempt, EvJobFinish,
 		EvSolverFallback, EvFaultInjected, EvDecision,

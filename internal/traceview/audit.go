@@ -166,9 +166,9 @@ func Audit(d *Decoded, opts AuditOptions) []Violation {
 
 // auditReservations checks that every planned reservation was honoured. A
 // reservation is installed at an activation and replaced at the next one
-// (admission, rejection, or critical release — each triggers a replan
-// that reports the fate of the standing batch); it only owes an outcome
-// when its window began before that boundary.
+// (admission or rejection — each triggers a replan that reports the
+// fate of the standing batch); it only owes an outcome when its window
+// began before that boundary.
 func auditReservations(d *Decoded) []Violation {
 	var vs []Violation
 	for i, e := range d.Events {
@@ -231,11 +231,11 @@ func auditFallbacks(d *Decoded) []Violation {
 }
 
 // firstBoundaryAfter returns the time of the first replan boundary
-// (admission, rejection, or critical release) after event index i.
+// (admission or rejection) after event index i.
 func firstBoundaryAfter(events []telemetry.Event, i int) (float64, bool) {
 	for _, f := range events[i+1:] {
 		switch f.Type {
-		case telemetry.EvAdmit, telemetry.EvReject, telemetry.EvCriticalRelease:
+		case telemetry.EvAdmit, telemetry.EvReject:
 			return f.T, true
 		}
 	}

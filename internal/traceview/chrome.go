@@ -91,8 +91,6 @@ func WriteChromeTrace(w io.Writer, tl *Timeline, names []string) error {
 		switch {
 		case iv.Kind == IntervalReserved:
 			s.Name, s.Cat = "reservation", "reserved"
-		case iv.Job < 0:
-			s.Name, s.Cat = fmt.Sprintf("critical %d", -iv.Job), "critical"
 		default:
 			s.Name, s.Cat = fmt.Sprintf("job %d", iv.Job), "exec"
 		}

@@ -18,7 +18,7 @@ func WriteCSV(w io.Writer, d *Decoded) error {
 	if err := cw.Write([]string{
 		"t", "event", "req", "res", "in_flight",
 		"admitted", "rejected",
-		"cum_energy", "cum_migration_energy", "cum_critical_energy",
+		"cum_energy", "cum_migration_energy",
 		"solver_wall_ns",
 	}); err != nil {
 		return err
@@ -33,8 +33,8 @@ func WriteCSV(w io.Writer, d *Decoded) error {
 		}
 	}
 	var (
-		inFlight, admitted, rejected  int
-		energy, migEnergy, critEnergy float64
+		inFlight, admitted, rejected int
+		energy, migEnergy            float64
 	)
 	ftoa := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	row := func(e telemetry.Event, wallNs int64) error {
@@ -43,7 +43,7 @@ func WriteCSV(w io.Writer, d *Decoded) error {
 			strconv.Itoa(e.Req), strconv.Itoa(e.Res),
 			strconv.Itoa(inFlight),
 			strconv.Itoa(admitted), strconv.Itoa(rejected),
-			ftoa(energy), ftoa(migEnergy), ftoa(critEnergy),
+			ftoa(energy), ftoa(migEnergy),
 			strconv.FormatInt(wallNs, 10),
 		})
 	}
@@ -62,8 +62,6 @@ func WriteCSV(w io.Writer, d *Decoded) error {
 			if e.Req >= 0 {
 				inFlight--
 				energy += e.Value - migByReq[e.Req]
-			} else {
-				critEnergy += e.Value
 			}
 		case telemetry.EvSolverReturned:
 			wallNs = e.WallNs

@@ -16,12 +16,11 @@ type Summary struct {
 	Requests, Admitted, Rejected int
 	// RejectionPct is the rejected share of decided requests in percent.
 	RejectionPct float64
-	// Energy attribution; TotalEnergy = ExecEnergy + MigrationEnergy
-	// (critical consumption is reported separately, as in engine.Result).
-	ExecEnergy, MigrationEnergy, CriticalEnergy, TotalEnergy float64
-	Migrations                                               int
-	ResvPlanned, ResvHonoured                                int
-	DeadlineMisses                                           int
+	// Energy attribution; TotalEnergy = ExecEnergy + MigrationEnergy.
+	ExecEnergy, MigrationEnergy, TotalEnergy float64
+	Migrations                               int
+	ResvPlanned, ResvHonoured                int
+	DeadlineMisses                           int
 	// MakeSpan is the last adaptive completion time.
 	MakeSpan float64
 	// MeanUtilization averages the per-resource busy fractions.
@@ -39,7 +38,6 @@ func (tl *Timeline) Summarize() Summary {
 	s := Summary{
 		ExecEnergy:      tl.ExecEnergy,
 		MigrationEnergy: tl.MigrationEnergy,
-		CriticalEnergy:  tl.CriticalEnergy,
 		TotalEnergy:     tl.ExecEnergy + tl.MigrationEnergy,
 		ResvPlanned:     tl.ResvPlanned,
 		ResvHonoured:    tl.ResvHonoured,
@@ -109,7 +107,6 @@ func WriteDiff(w io.Writer, labelA string, a Summary, labelB string, b Summary) 
 		{"total energy", a.TotalEnergy, b.TotalEnergy, " J", false},
 		{"exec energy", a.ExecEnergy, b.ExecEnergy, " J", false},
 		{"migration energy", a.MigrationEnergy, b.MigrationEnergy, " J", false},
-		{"critical energy", a.CriticalEnergy, b.CriticalEnergy, " J", false},
 		{"migrations", float64(a.Migrations), float64(b.Migrations), "", true},
 		{"resv planned", float64(a.ResvPlanned), float64(b.ResvPlanned), "", true},
 		{"resv honoured", float64(a.ResvHonoured), float64(b.ResvHonoured), "", true},

@@ -21,6 +21,7 @@ import (
 	"math"
 	"os"
 
+	"predrm/internal/platform"
 	"predrm/internal/telemetry"
 )
 
@@ -29,7 +30,8 @@ type DiagKind int
 
 const (
 	// DiagMalformedLine marks a line that did not decode into the event
-	// schema; the line is skipped.
+	// schema, or whose resource id lies outside [-1, platform.MaxResources);
+	// the line is skipped.
 	DiagMalformedLine DiagKind = iota
 	// DiagUnknownEventType marks an event whose type is not part of the
 	// known schema (newer emitter, foreign trace); the event is kept.
@@ -145,6 +147,12 @@ func (d *Decoder) Decode(raw []byte) (e telemetry.Event, diags []Diagnostic, ok 
 	if err := json.Unmarshal(raw, &e); err != nil {
 		return telemetry.Event{}, []Diagnostic{{
 			Line: d.line, Seq: -1, Kind: DiagMalformedLine, Detail: err.Error(),
+		}}, false
+	}
+	if e.Res < -1 || e.Res >= platform.MaxResources {
+		return telemetry.Event{}, []Diagnostic{{
+			Line: d.line, Seq: e.Seq, Kind: DiagMalformedLine,
+			Detail: fmt.Sprintf("field res = %d outside [-1, %d)", e.Res, platform.MaxResources),
 		}}, false
 	}
 	if !knownTypes[e.Type] {

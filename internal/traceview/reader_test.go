@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"predrm/internal/platform"
 	"predrm/internal/telemetry"
 )
 
@@ -133,22 +134,33 @@ func TestReadDiagnostics(t *testing.T) {
 		`{"seq":1,"t":2,"type":"wormhole","req":-1,"task":-1,"res":-1}`,
 		`{"seq":1,"t":2,"type":"admit","req":0,"task":1,"res":0}`,
 		`{"seq":2,"t":1.5,"type":"job_start","req":0,"task":1,"res":0}`,
-		// An event type older traces carry that the schema no longer has.
+		// Event types and reasons older traces carry that the schema no
+		// longer has: work-conserving backfill and the critical workload.
 		`{"seq":3,"t":2,"type":"reservation_backfilled","req":0,"task":-1,"res":5,"value":3}`,
+		`{"seq":4,"t":2,"type":"critical_release","req":-1,"task":0,"res":0,"value":0}`,
+		`{"seq":5,"t":2.5,"type":"job_finish","req":-1,"task":0,"res":0,"value":1,"reason":"critical"}`,
+		// Resource ids outside [-1, platform.MaxResources) are malformed.
+		`{"seq":6,"t":3,"type":"admit","req":1,"task":1,"res":-5}`,
+		`{"seq":7,"t":3,"type":"job_start","req":1,"task":1,"res":1048576}`,
 	}, "\n") + "\n"
 	d, err := Read(strings.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Events) != 5 { // the malformed line is skipped, the rest kept
-		t.Fatalf("got %d events, want 5", len(d.Events))
+	if len(d.Events) != 7 { // the malformed lines are skipped, the rest kept
+		t.Fatalf("got %d events, want 7", len(d.Events))
 	}
 	kinds := make(map[DiagKind]int)
 	for _, diag := range d.Diags {
 		kinds[diag.Kind]++
+		// A line that decoded (its seq is known) was refused for its res.
+		if diag.Kind == DiagMalformedLine && diag.Seq >= 0 && !strings.Contains(diag.Detail, "res") {
+			t.Errorf("diagnostic %v does not name the res field", diag)
+		}
 	}
 	for want, n := range map[DiagKind]int{
-		DiagMalformedLine: 1, DiagUnknownEventType: 2, DiagSequenceRegression: 1, DiagTimeRegression: 1,
+		DiagMalformedLine: 3, DiagUnknownEventType: 3, DiagUnknownReason: 1,
+		DiagSequenceRegression: 1, DiagTimeRegression: 1,
 	} {
 		if kinds[want] != n {
 			t.Errorf("want exactly %d %v, got %d (all: %v)", n, want, kinds[want], d.Diags)
@@ -156,4 +168,32 @@ func TestReadDiagnostics(t *testing.T) {
 	}
 	// The timeline and the auditor skip unknown types without panicking.
 	Audit(d, auditOpts())
+}
+
+// negResTrace is a four-line trace whose admission and lifecycle events
+// name resource -5, an index no per-resource table can take.
+const negResTrace = `{"seq":0,"t":0,"type":"arrival","req":0,"task":0,"res":-1,"value":5}
+{"seq":1,"t":0,"type":"admit","req":0,"task":0,"res":-5,"reason":"plain"}
+{"seq":2,"t":0,"type":"job_start","req":0,"task":0,"res":-5,"value":1,"reason":"start"}
+{"seq":3,"t":1,"type":"job_finish","req":0,"task":0,"res":-5,"value":2}
+`
+
+// TestReportSurvivesOutOfRangeResource checks that a report over a trace
+// naming a negative resource drops those events with a diagnostic
+// instead of panicking.
+func TestReportSurvivesOutOfRangeResource(t *testing.T) {
+	d, err := Read(strings.NewReader(negResTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Events) != 1 || len(d.Diags) != 3 {
+		t.Fatalf("got %d events and diagnostics %v, want 1 event and 3 diagnostics", len(d.Events), d.Diags)
+	}
+	var out bytes.Buffer
+	if err := WriteReport(&out, BuildTimeline(d), platform.New(5, 1), 40); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "field res = -5") {
+		t.Fatalf("report does not show the diagnostic:\n%s", out.String())
+	}
 }

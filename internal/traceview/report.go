@@ -22,12 +22,9 @@ func WriteReport(w io.Writer, tl *Timeline, plat *platform.Platform, ganttCols i
 	p("trace span:        t=[%.3f, %.3f] (%d resources referenced)", tl.Start, tl.End, tl.Resources)
 	p("requests:          %d arrivals, %d admitted, %d rejected (%.2f%%)",
 		sum.Requests, sum.Admitted, sum.Rejected, sum.RejectionPct)
-	p("energy:            %.2f J total = %.2f exec + %.2f migration (%d migrations); critical %.2f J",
-		sum.TotalEnergy, sum.ExecEnergy, sum.MigrationEnergy, sum.Migrations, sum.CriticalEnergy)
+	p("energy:            %.2f J total = %.2f exec + %.2f migration (%d migrations)",
+		sum.TotalEnergy, sum.ExecEnergy, sum.MigrationEnergy, sum.Migrations)
 	p("reservations:      %d planned, %d honoured", sum.ResvPlanned, sum.ResvHonoured)
-	if tl.CriticalReleases > 0 || tl.CriticalFinishes > 0 {
-		p("critical:          %d releases, %d completions", tl.CriticalReleases, tl.CriticalFinishes)
-	}
 	p("deadline misses:   %d", sum.DeadlineMisses)
 	if slacks := tl.Slacks(); len(slacks) > 0 {
 		s := metrics.Summarise(slacks)

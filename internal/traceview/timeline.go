@@ -25,8 +25,7 @@ const (
 type Interval struct {
 	Resource int
 	Kind     IntervalKind
-	// Job is the request id (negative for critical releases), or -1 for
-	// reservations.
+	// Job is the request id, or -1 for reservations.
 	Job int
 	// Task is the job's task type, or -1.
 	Task       int
@@ -99,14 +98,11 @@ type Timeline struct {
 	SolverWallSec []float64
 	// SolverJobs holds each activation's problem size (solver_invoked).
 	SolverJobs []float64
-	// Energy attribution across the run: execution of admitted requests,
-	// charged migrations, and critical releases.
-	ExecEnergy, MigrationEnergy, CriticalEnergy float64
-	// Reservation and critical counters.
+	// Energy attribution across the run: execution of admitted requests
+	// and charged migrations.
+	ExecEnergy, MigrationEnergy float64
+	// Reservation counters.
 	ResvPlanned, ResvHonoured int
-	CriticalReleases          int
-	// CriticalFinishes counts job_finish events of critical releases.
-	CriticalFinishes int
 	// Dropped and Diags carry the reader's findings into downstream
 	// consumers (the auditor softens missing-event checks when Dropped>0).
 	Dropped int64
@@ -183,8 +179,6 @@ func BuildTimeline(d *Decoded) *Timeline {
 			tl.SolverJobs = append(tl.SolverJobs, e.Value)
 		case telemetry.EvSolverReturned:
 			tl.SolverWallSec = append(tl.SolverWallSec, float64(e.WallNs)/1e9)
-		case telemetry.EvCriticalRelease:
-			tl.CriticalReleases++
 		case telemetry.EvReservationPlanned:
 			tl.ResvPlanned++
 			resv[resvKey{e.Res, e.Value}] = e.T
@@ -203,6 +197,12 @@ func BuildTimeline(d *Decoded) *Timeline {
 				})
 			}
 		case telemetry.EvJobStart:
+			if e.Req >= 0 {
+				tl.request(e.Req, e.Task).Executed = true
+			}
+			if e.Res < 0 {
+				break // names no resource, so it opens no interval
+			}
 			// Defensive: close anything the emitter forgot to close.
 			for res, oe := range open {
 				if res == e.Res || oe.job == e.Req {
@@ -211,9 +211,6 @@ func BuildTimeline(d *Decoded) *Timeline {
 				}
 			}
 			open[e.Res] = openExec{job: e.Req, task: e.Task, start: e.T}
-			if e.Req >= 0 {
-				tl.request(e.Req, e.Task).Executed = true
-			}
 		case telemetry.EvJobPreempt:
 			if oe, ok := open[e.Res]; ok && oe.job == e.Req {
 				tl.closeExec(e.Res, oe, e.T)
@@ -231,9 +228,6 @@ func BuildTimeline(d *Decoded) *Timeline {
 				o.Energy = e.Value
 				tl.ExecEnergy += e.Value
 				step(e.T, -1)
-			} else {
-				tl.CriticalFinishes++
-				tl.CriticalEnergy += e.Value
 			}
 		}
 	}

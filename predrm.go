@@ -2,7 +2,6 @@ package predrm
 
 import (
 	"predrm/internal/core"
-	"predrm/internal/critical"
 	"predrm/internal/engine"
 	"predrm/internal/exact"
 	"predrm/internal/experiments"
@@ -214,15 +213,6 @@ func BuildStaticTable(s *TaskSet) StaticTable { return static.BuildTable(s) }
 // applies design-time placements and never remaps admitted tasks
 // (the related-work family the paper contrasts itself against).
 func NewStaticRM(table StaticTable) Solver { return static.New(table) }
-
-// Safety-critical workload (Sec 2).
-type (
-	// CriticalTask is one design-time-allocated hard real-time task.
-	CriticalTask = critical.Task
-	// CriticalSet is the design-time critical workload; attach it to
-	// SimConfig.Critical.
-	CriticalSet = critical.Set
-)
 
 // Schedule visualisation.
 type (

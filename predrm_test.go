@@ -103,9 +103,9 @@ func TestFacadePredictors(t *testing.T) {
 	}
 }
 
-// TestFacadeStaticAndCritical exercises the baseline RM, the critical
-// workload, and the Gantt chart through the public API.
-func TestFacadeStaticAndCritical(t *testing.T) {
+// TestFacadeStaticAndGantt exercises the baseline RM and the Gantt chart
+// through the public API.
+func TestFacadeStaticAndGantt(t *testing.T) {
 	plat := predrm.DefaultPlatform()
 	set, err := predrm.GenerateTaskSet(plat, predrm.DefaultTaskGenConfig(), 21)
 	if err != nil {
@@ -120,22 +120,16 @@ func TestFacadeStaticAndCritical(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := predrm.Simulate(predrm.SimConfig{
-		Platform: plat,
-		TaskSet:  set,
-		Solver:   predrm.NewStaticRM(predrm.BuildStaticTable(set)),
-		Critical: &predrm.CriticalSet{Tasks: []*predrm.CriticalTask{
-			{ID: 0, Name: "ctrl", Resource: 0, Period: 15, WCET: 3, Energy: 1, Deadline: 10},
-		}},
+		Platform:        plat,
+		TaskSet:         set,
+		Solver:          predrm.NewStaticRM(predrm.BuildStaticTable(set)),
 		RecordExecution: true,
 	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeadlineMisses != 0 || res.CriticalMisses != 0 {
-		t.Fatalf("misses: %d/%d", res.DeadlineMisses, res.CriticalMisses)
-	}
-	if res.CriticalJobs == 0 {
-		t.Fatal("critical workload not served")
+	if res.DeadlineMisses != 0 {
+		t.Fatalf("deadline misses: %d", res.DeadlineMisses)
 	}
 	chart, err := predrm.NewGantt(plat, res.Execution)
 	if err != nil {
