@@ -5,7 +5,8 @@ GOFMT ?= gofmt
 
 # check is the repo gate: vet, formatting, build everything, run the full
 # test suite under the race detector (every differential, golden and
-# end-to-end test, including the sharded epochs' concurrent shard solves
+# end-to-end test, including the sharded epochs' shard solves claimed by
+# the caller and helper goroutines, a late helper racing the next epoch,
 # and the wall-clock server), run the allocation budgets the race build
 # skips, audit the golden trace with the replay checker, fuzz the
 # heuristic against its seed implementation and the trace reader and spec

@@ -242,11 +242,12 @@ func (h *Heuristic) Solve(p *sched.Problem) Decision {
 // emits the candidate verdicts and pick steps.
 //
 // Only the candidate source differs between platform sizes — how a job's
-// candidate summary is computed (summarise), how its candidates are
-// walked (nextCand) and where a cpm is read; the loop is the same. Both
-// sources read the free jobs' cost terms, hoisted here once per call.
+// candidate summary is computed (summarise) and how its walk continues
+// past the summary's two candidates (walkNext, nextCand); the loop is
+// the same. Both sources read the free jobs' cost terms, hoisted here
+// once per call.
 func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
-	p, n, indexed := h.p, h.n, h.indexed()
+	p, indexed := h.p, h.indexed()
 	for _, ji := range unassigned {
 		j := p.Jobs[ji]
 		jt := &h.terms[ji]
@@ -284,20 +285,24 @@ func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
 		ji := unassigned[pick]
 		unassigned = append(unassigned[:pick], unassigned[pick+1:]...)
 
-		// Map j* to the most desirable schedulable resource (lines 24-34).
-		// Each candidate is trial-inserted at its service position; on
-		// success the entry is already final, on failure it is backed out
-		// and the next candidate tried.
-		r, des, c, ok := h.nextCand(ji, -1, math.Inf(-1))
-		for ; ok; r, des, c, ok = h.nextCand(ji, r, des) {
+		// Map j* to the most desirable schedulable resource (lines 24-34),
+		// walking its feasible set from the summary's best candidate (the
+		// summary is exact at pick time, see candSummary). Each candidate
+		// is trial-inserted at its service position; on success the entry
+		// is already final, on failure it is backed out and the next
+		// candidate tried.
+		cc := &h.cand[ji]
+		r, des, c := int(cc.bestR), cc.bestDes, cc.bestCpm
+		for k := 1; ; k++ {
 			pos := h.insertEntry(ji, r, c)
 			if h.check(ji, r, des, recording) {
 				break
 			}
 			h.lists[r].Remove(p.Time, pos)
-		}
-		if !ok {
-			return ji // lines 31-32: no more resources
+			var ok bool
+			if r, des, c, ok = h.walkNext(ji, k, r, des); !ok {
+				return ji // lines 31-32: no more resources
+			}
 		}
 		if recording {
 			h.recordPlaced(ji, r, des)
@@ -305,24 +310,23 @@ func (h *Heuristic) place(unassigned []int, greedy, recording bool) int {
 
 		// Book j* on r. The booking shrank only r's capacity, so a job's
 		// summary can change only if r was its best or second candidate
-		// (then r is executable for it) and it just lost r from its
-		// feasible set; the cheap candidate test goes first.
+		// and it just lost r from its feasible set; the summary carries
+		// the cpm of both, so the test reads no cost row.
 		h.mapping[ji] = r
-		oldCap := h.capacity[r]
 		h.capacity[r] -= c
 		newCap := h.capacity[r]
 		for _, uj := range unassigned {
-			if cc := &h.cand[uj]; cc.bestR != int32(r) && cc.secondR != int32(r) {
+			var cu float64
+			switch cc := &h.cand[uj]; int32(r) {
+			case cc.bestR:
+				cu = cc.bestCpm
+			case cc.secondR:
+				cu = cc.secondCpm
+			default:
 				continue
 			}
-			var cu float64
-			if indexed {
-				cu = h.terms[uj].cpm(r)
-			} else {
-				cu = h.cpm[uj*n+r]
-			}
-			if cu > oldCap+sched.Eps || cu <= newCap+sched.Eps {
-				continue // was not a member, or still is
+			if cu <= newCap+sched.Eps {
+				continue // still a member
 			}
 			h.summarise(uj)
 		}
@@ -418,30 +422,47 @@ func (h *Heuristic) summarise(ji int) {
 	base := ji * h.n
 	cc := candSummary{bestR: -1, secondR: -1, bestDes: math.Inf(1), secondDes: math.Inf(1)}
 	for r := 0; r < h.n; r++ {
-		if h.cpm[base+r] > h.capacity[r]+sched.Eps {
+		c := h.cpm[base+r]
+		if c > h.capacity[r]+sched.Eps {
 			continue // not executable, or no capacity left
 		}
 		if f := h.des[base+r]; f < cc.bestDes {
-			cc.secondR, cc.secondDes = cc.bestR, cc.bestDes
-			cc.bestR, cc.bestDes = int32(r), f
+			cc.secondR, cc.secondDes, cc.secondCpm = cc.bestR, cc.bestDes, cc.bestCpm
+			cc.bestR, cc.bestDes, cc.bestCpm = int32(r), f, c
 		} else if f < cc.secondDes {
-			cc.secondR, cc.secondDes = int32(r), f
+			cc.secondR, cc.secondDes, cc.secondCpm = int32(r), f, c
 		}
 	}
 	cc.empty = cc.bestR < 0
 	h.cand[ji] = cc
 }
 
+// walkNext yields the candidate after (r, des), the k-th (k >= 1) of job
+// ji's placement walk: resource, desirability, cpm; ok is false when the
+// feasible set is exhausted. The walk's first two candidates are the
+// summary's best and second; only a third enters the candidate source,
+// resumed after the second: the matrix continues its arg-min from (r,
+// des), the index re-initialises the shared iterator and skips the two.
+func (h *Heuristic) walkNext(ji, k, r int, des float64) (int, float64, float64, bool) {
+	if k == 1 {
+		cc := &h.cand[ji]
+		return int(cc.secondR), cc.secondDes, cc.secondCpm, cc.secondR >= 0
+	}
+	if k == 2 && h.indexed() {
+		h.itInit(ji)
+		h.itNext()
+		h.itNext()
+	}
+	return h.nextCand(ji, r, des)
+}
+
 // nextCand yields job ji's next feasible-set member after (r, des) in
 // ascending (desirability, resource) order: resource, desirability, cpm;
-// ok is false when the set is exhausted. r < 0 starts the walk. On the
-// matrix source it is an arg-min over the row; on the index it steps the
-// shared iterator, which keeps its own position.
+// ok is false when the set is exhausted. On the matrix source it is an
+// arg-min over the row; on the index it steps the shared iterator, which
+// keeps its own position (walkNext has pointed it at ji).
 func (h *Heuristic) nextCand(ji, r int, des float64) (int, float64, float64, bool) {
 	if h.indexed() {
-		if r < 0 {
-			h.itInit(ji)
-		}
 		return h.itNext()
 	}
 	base := ji * h.n

@@ -9,6 +9,7 @@ import (
 	"predrm/internal/rng"
 	"predrm/internal/sched"
 	"predrm/internal/task"
+	"predrm/internal/telemetry"
 )
 
 func motivationalProblem(withPred bool) *sched.Problem {
@@ -320,5 +321,110 @@ func TestAdmitScratchMatchesReference(t *testing.T) {
 	t.Logf("%d of 400 admissions fell back", fallbacks)
 	if fallbacks < 100 {
 		t.Fatalf("only %d of 400 admissions fell back: the differential is not exercising the fallback", fallbacks)
+	}
+}
+
+// blockedProblem builds a problem whose free jobs all rank the resources
+// alike (each type's energy rises with one shared rank) and whose k
+// cheapest resources each hold a Fixed blocker busy until just before
+// most free jobs' deadlines. A far-deadline Fixed job on the dearest
+// resource widens the window, so capacity still admits a free job on a
+// blocked resource while its EDF probe fails: with k >= 2 a placement
+// walk gets past its summary's best and second candidates, and with
+// every resource but the dearest blocked it may run out of them.
+func blockedProblem(r *rng.Rand, plat *platform.Platform, base float64) *sched.Problem {
+	n := plat.Len()
+	rank := make([]int, n) // rank[i] is resource i's place in the shared order
+	byRank := make([]int, n)
+	for i := range byRank {
+		byRank[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		k := r.Intn(i + 1)
+		byRank[i], byRank[k] = byRank[k], byRank[i]
+	}
+	for pos, res := range byRank {
+		rank[res] = pos
+	}
+	newType := func(id int, wcet, scale float64) *task.Type {
+		ty := &task.Type{ID: id, WCET: make([]float64, n), Energy: make([]float64, n)}
+		for res := range n {
+			ty.WCET[res] = wcet
+			ty.Energy[res] = scale * float64(1+rank[res])
+		}
+		return ty
+	}
+
+	now := base + r.Uniform(0, 10)
+	block := r.Uniform(5, 10)
+	var jobs []*sched.Job
+	k := r.Intn(min(5, n-1))
+	if r.Float64() < 0.2 {
+		k = n - 1 // only the far job's resource is left: walks exhaust
+	}
+	for b := range k {
+		j := sched.NewJob(len(jobs), newType(100+b, block, 1), now-1, block+1.1)
+		j.Resource, j.Fixed = byRank[b], true
+		jobs = append(jobs, j)
+	}
+	far := sched.NewJob(len(jobs), newType(99, 0.5, 1), now, 10*block)
+	far.Resource, far.Fixed = byRank[n-1], true
+	jobs = append(jobs, far)
+	for f := range 1 + r.Intn(6) {
+		w := r.Uniform(1, 3)
+		rel := block + w/2 // misses behind a blocker, but not penalised
+		if r.Float64() < 0.3 {
+			rel = block + w + r.Uniform(0.5, 5) // fits behind a blocker
+		}
+		jobs = append(jobs, sched.NewJob(len(jobs), newType(f, w, r.Uniform(0.5, 2)), now, rel))
+	}
+	return &sched.Problem{Platform: plat, Time: now, Jobs: jobs}
+}
+
+// TestPlacementWalkResumesPastSummary: a placement walk starts at the
+// picked job's candidate summary and enters the candidate source only for
+// a third candidate. On blocked problems, where the best and second
+// candidates fail their EDF probes, every decision must still match the
+// seed implementation, on the matrix source (5c1g) and on the index
+// (28c4g); provenance counts the walks that resumed (two or more
+// edf_infeasible verdicts for one job in one solve), so the path cannot
+// go untested.
+func TestPlacementWalkResumesPastSummary(t *testing.T) {
+	for _, spec := range []string{"5c1g", "28c4g"} {
+		plat, err := platform.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := telemetry.NewProvRecorder()
+		recorded, plain := &Heuristic{}, &Heuristic{Cache: sched.NewFeasCache(0)}
+		recorded.AttachProvenance(rec)
+		r := rng.New(131)
+		resumed, feasible := 0, 0
+		for trial := range 300 {
+			p := blockedProblem(r, plat, float64(trial)*20)
+			want := referenceSolve(p, false)
+			rec.Reset()
+			for name, h := range map[string]*Heuristic{"provenance": recorded, "cache": plain} {
+				if got := solveWithPlan(h, p); got.Feasible != want.Feasible ||
+					got.Energy != want.Energy || !slices.Equal(got.Mapping, want.Mapping) {
+					t.Fatalf("%s %s trial %d: got %+v, reference %+v", spec, name, trial, got, want)
+				}
+			}
+			if want.Feasible {
+				feasible++
+			}
+			failed := make(map[int]int)
+			for _, c := range rec.Snapshot().Candidates {
+				if c.Verdict == telemetry.VerdictEDFInfeasible {
+					if failed[c.Job]++; failed[c.Job] == 2 {
+						resumed++
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d resumed walks, %d feasible of 300", spec, resumed, feasible)
+		if resumed < 100 || feasible == 0 || feasible == 300 {
+			t.Fatalf("%s: %d resumed walks and %d feasible solves of 300; the generator no longer exercises the resume", spec, resumed, feasible)
+		}
 	}
 }

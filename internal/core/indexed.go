@@ -22,19 +22,20 @@
 // through exactly two queries: "the two smallest desirabilities over the
 // feasible set, scanning resources in ascending id with strict <" (the
 // regret inputs, summarise) and "feasible-set members in ascending (des,
-// id) order" (the placement walk, nextCand). Both are order queries over
-// the same multiset of (des, r) pairs, so producing candidates in
-// ascending (des, r) order reproduces them verbatim. Within one solve a
-// job's desirability is energy[r]·Frac + constant (+bigM), monotone in
-// energy[r] over each of the three candidate streams — non-penalised,
-// penalised (+bigM), and the job's current resource (no migration
-// surcharge) — so each stream is already sorted by the index order and
-// a 3-way merge yields the global order. Equal desirabilities across
-// different energies (a rounding collision) are handled by buffering
-// each equal-desirability run and emitting it in ascending resource id,
-// which is the matrix scan's tie-break. TestIndexedHeuristicMatchesPlain
-// and FuzzHeuristicMatchesReference pin both sources against the seed
-// implementation; the race-enabled suite runs them on every `make check`.
+// id) order" (the placement walk past the summary, nextCand). Both are
+// order queries over the same multiset of (des, r) pairs, so producing
+// candidates in ascending (des, r) order reproduces them verbatim.
+// Within one solve a job's desirability is energy[r]·Frac + constant
+// (+bigM), monotone in energy[r] over each of the three candidate
+// streams — non-penalised, penalised (+bigM), and the job's current
+// resource (no migration surcharge) — so each stream is already sorted
+// by the index order and a 3-way merge yields the global order. Equal
+// desirabilities across different energies (a rounding collision) are
+// handled by buffering each equal-desirability run and emitting it in
+// ascending resource id, which is the matrix scan's tie-break.
+// TestIndexedHeuristicMatchesPlain and FuzzHeuristicMatchesReference pin
+// both sources against the seed implementation; the race-enabled suite
+// runs them on every `make check`.
 package core
 
 import (
@@ -52,11 +53,17 @@ const indexedMinResources = 32
 
 // candSummary caches one job's regret inputs on either candidate source:
 // the best and second-best (desirability, resource) over its current
-// feasible set. place re-summarises a job only when a booking evicts its
-// best or second resource; no other eviction can change the pair.
+// feasible set, with their cpm. place re-summarises a job only when a
+// booking evicts its best or second resource; no other eviction can
+// change the pair. Capacities only fall during place and desirabilities
+// and cpm are fixed per solve, so the feasible set only shrinks, and
+// losing a member behind the second leaves the first two as they were:
+// a summary is exact whenever it is read, and the placement walk and
+// the eviction test read it instead of the cost rows.
 type candSummary struct {
 	bestR, secondR     int32 // -1 when absent
 	bestDes, secondDes float64
+	bestCpm, secondCpm float64
 	empty              bool // feasible set is empty (line 22: no solution)
 }
 
@@ -121,7 +128,8 @@ func (h *Heuristic) typeOrder(t *task.Type) []int32 {
 
 // itInit points the shared iterator at job ji's candidates. Streams are
 // filled lazily by itNext, so a walk the caller abandons after one or
-// two candidates (rewalk) never scans past what it consumed.
+// two candidates (rewalk) never scans past what it consumed, and a
+// placement walk that needs a third (walkNext) rescans only those two.
 func (h *Heuristic) itInit(ji int) {
 	jt := &h.terms[ji]
 	it := &h.it
@@ -251,16 +259,16 @@ func (h *Heuristic) itNext() (int, float64, float64, bool) {
 func (h *Heuristic) rewalk(ji int) {
 	h.itInit(ji)
 	cc := &h.cand[ji]
-	r, des, _, ok := h.itNext()
+	r, des, c, ok := h.itNext()
 	if !ok {
 		*cc = candSummary{bestR: -1, secondR: -1,
 			bestDes: math.Inf(1), secondDes: math.Inf(1), empty: true}
 		return
 	}
 	cc.empty = false
-	cc.bestR, cc.bestDes = int32(r), des
-	if r2, des2, _, ok2 := h.itNext(); ok2 {
-		cc.secondR, cc.secondDes = int32(r2), des2
+	cc.bestR, cc.bestDes, cc.bestCpm = int32(r), des, c
+	if r2, des2, c2, ok2 := h.itNext(); ok2 {
+		cc.secondR, cc.secondDes, cc.secondCpm = int32(r2), des2, c2
 	} else {
 		cc.secondR, cc.secondDes = -1, math.Inf(1) // |F_j| == 1 (line 14)
 	}

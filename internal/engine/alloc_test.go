@@ -124,14 +124,7 @@ func TestSaturatedFallbackAllocBudget(t *testing.T) {
 // fixture in two shards stay within a per-decision budget, the epoch's
 // routing, goroutines and outcome slices included.
 func TestShardedEpochAllocBudget(t *testing.T) {
-	set, err := task.ReadFile("../../testdata/scale/taskset.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadFile("../../testdata/scale/trace-VT-000.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	set, tr := scaleFixture(t)
 	s, err := NewSharded(Config{Platform: set.Platform, TaskSet: set}, ShardConfig{
 		Shards:    2,
 		NewSolver: func() core.Solver { return &core.Heuristic{Cache: sched.NewFeasCache(0)} },
@@ -139,27 +132,14 @@ func TestShardedEpochAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const window = 1.0
 	reqs := tr.Requests
 	got := allocsPerDecision(len(reqs), func(lo, hi int) {
-		for i := lo; i < hi; {
-			// The epochs sim.RunSharded forms: every arrival within the
-			// window of the first, closing at the window's end.
-			j := i + 1
-			for j < hi && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
-				j++
-			}
-			close := max(reqs[i].Arrival+window, reqs[j-1].Arrival)
-			if _, err := s.ActivateEpoch(i, reqs[i:j], close); err != nil {
-				t.Fatal(err)
-			}
-			i = j
-		}
+		driveEpochs(t, s, reqs, lo, hi, 1, nil)
 	})
 	t.Logf("%.2f allocs per decision", got)
-	const budget = 10
+	const budget = 3.25
 	if got > budget {
-		t.Fatalf("sharded ActivateEpoch: %.2f allocs per decision, budget %d", got, budget)
+		t.Fatalf("sharded ActivateEpoch: %.2f allocs per decision, budget %.2f", got, budget)
 	}
 }
 

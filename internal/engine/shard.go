@@ -7,8 +7,9 @@
 // walked from least loaded upward to the first shard whose projected
 // task set can execute the type), then admitted by that shard's own
 // engine against only the shard's resources. Decision cost therefore
-// scales with shard size, not platform size, and batch epochs solve the
-// per-shard groups concurrently. The price is optimality: a job is
+// scales with shard size, not platform size, and a batch epoch's
+// per-shard groups are solved by the caller and as many helper
+// goroutines as start in time. The price is optimality: a job is
 // mapped to the best resource of its shard, not of the whole platform —
 // DESIGN.md §12 develops the argument and the determinism guarantees.
 //
@@ -22,6 +23,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"predrm/internal/core"
 	"predrm/internal/platform"
@@ -41,8 +43,11 @@ type ShardConfig struct {
 	BatchWindow float64
 	// NewSolver builds one solver per shard — engines are not safe for
 	// concurrent use and neither are solvers, so shards cannot share
-	// cfg.Solver. Required when Shards > 1; with one shard it supplies
-	// cfg.Solver when that is nil.
+	// cfg.Solver. Within an epoch a shard's solver runs on whichever
+	// goroutine claims the shard: the caller or one of up to
+	// min(shards, GOMAXPROCS) − 1 helpers (DESIGN.md §12.1). Required
+	// when Shards > 1; with one shard it supplies cfg.Solver when that is
+	// nil.
 	NewSolver func() core.Solver
 }
 
@@ -53,17 +58,42 @@ type shardState struct {
 	// locals maps the shard's local request ids back to global ids, in
 	// activation order (local id == index).
 	locals []int
+	// The current epoch's group routed here, the outcomes and error of
+	// its solve, and how many outcomes reassembly has taken. Buffers are
+	// reused across epochs: only the goroutine that claimed the shard
+	// writes them, and the epoch waits for it before reading them.
+	group []trace.Request
+	outs  []Outcome
+	err   error
+	taken int
+}
+
+// epochClaims is one epoch's work queue: busy shards are claimed by
+// index from next, and done counts the claimed solves still running.
+// Each epoch gets a fresh one, because a helper that starts after every
+// shard has been claimed still reads next and n, possibly after
+// ActivateEpoch has returned; it reads nothing else.
+type epochClaims struct {
+	next atomic.Int32
+	n    int32
+	done sync.WaitGroup
 }
 
 // sharded drives one engine per platform shard behind the Driver
 // interface. Not safe for concurrent use (like Engine); the concurrency
-// inside ActivateEpoch stays behind the call.
+// inside ActivateEpoch stays behind the call, apart from helpers that
+// start too late to claim a shard and exit on their own.
 type sharded struct {
-	cfg     Config
-	shards  []shardState
-	loads   *sched.LoadIndex
-	elig    [][]bool // [typeID][shard]
+	cfg    Config
+	shards []shardState
+	loads  *sched.LoadIndex
+	elig   [][]bool // [typeID][shard]
+	// workers bounds the goroutines solving one epoch, the caller
+	// included: min(shards, GOMAXPROCS).
 	workers int
+	// busy lists the current epoch's shards with a non-empty group, in
+	// shard order; the claim counter indexes it.
+	busy []int
 	// routes maps global request id -> shard index (the local id is the
 	// position in that shard's locals).
 	routes []int
@@ -150,7 +180,6 @@ func NewSharded(cfg Config, sc ShardConfig) (Driver, error) {
 		}
 		s.elig[t] = row
 	}
-	// At most min(shards, GOMAXPROCS) shard solves run at once.
 	s.workers = min(len(s.shards), runtime.GOMAXPROCS(0))
 	return s, nil
 }
@@ -194,12 +223,14 @@ func (s *sharded) Activate(idx int, req trace.Request) (Outcome, error) {
 	return outs[0], nil
 }
 
-// ActivateEpoch routes a batch of arrivals across the shards and runs
-// the per-shard epochs concurrently, at most min(shards, GOMAXPROCS) at
-// a time.
+// ActivateEpoch routes a batch of arrivals across the shards and solves
+// the per-shard epochs: the caller claims busy shards one at a time and
+// runs them itself, alongside at most min(busy shards, GOMAXPROCS) − 1
+// helper goroutines claiming from the same counter (solveBusy).
 // Shards are independent — separate platforms, task sets, solvers and
-// plans — so concurrent solving is deterministic; outcomes are returned
-// in global request order.
+// plans — so which goroutine solves a shard, and when, changes nothing;
+// outcomes are returned in global request order, and when shards fail
+// the lowest-index shard's error is returned.
 func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float64) ([]Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -215,52 +246,42 @@ func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 		if err := s.shards[si].eng.AdvanceTo(reqs[0].Arrival); err != nil {
 			return nil, err
 		}
+		s.shards[si].group = s.shards[si].group[:0]
 	}
 	s.syncLoads()
-	groups := make([][]trace.Request, len(s.shards))
 	for i, req := range reqs {
 		si, err := s.route(req.Type)
 		if err != nil {
 			return nil, err
 		}
-		groups[si] = append(groups[si], req)
+		sh := &s.shards[si]
+		sh.group = append(sh.group, req)
 		s.routes = append(s.routes, si)
-		s.shards[si].locals = append(s.shards[si].locals, startIdx+i)
+		sh.locals = append(sh.locals, startIdx+i)
 		s.loads.Update(si, s.loads.Load(si)+1)
 	}
 
-	type shardRun struct {
-		outs []Outcome
-		err  error
-	}
-	runs := make([]shardRun, len(s.shards))
-	sem := make(chan struct{}, s.workers)
-	var wg sync.WaitGroup
+	s.busy = s.busy[:0]
 	for si := range s.shards {
-		if len(groups[si]) == 0 {
-			continue
+		sh := &s.shards[si]
+		if n := len(sh.group); n > 0 {
+			if cap(sh.outs) < n {
+				sh.outs = make([]Outcome, n)
+			}
+			sh.outs, sh.err, sh.taken = sh.outs[:n], nil, 0
+			s.busy = append(s.busy, si)
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sh := &s.shards[si]
-			local := sh.eng.Requests()
-			outs, err := sh.eng.ActivateEpoch(local, groups[si], close)
-			runs[si] = shardRun{outs: outs, err: err}
-		}(si)
 	}
-	wg.Wait()
-	for si := range runs {
-		if runs[si].err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, runs[si].err)
+	s.solveBusy(close)
+	for _, si := range s.busy {
+		if err := s.shards[si].err; err != nil {
+			return nil, fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
 	// Idle shards still advance to the close so the cluster clock moves
 	// together.
 	for si := range s.shards {
-		if len(groups[si]) == 0 {
+		if len(s.shards[si].group) == 0 {
 			if err := s.shards[si].eng.AdvanceTo(close); err != nil {
 				return nil, err
 			}
@@ -270,12 +291,12 @@ func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 	// its group order, and the group order is the global order filtered
 	// by route. Each outcome is probed as it is counted, so a sample's
 	// admission counters stop at its own request.
-	taken := make([]int, len(s.shards))
 	outs := make([]Outcome, len(reqs))
 	for i := range reqs {
 		si := s.routes[startIdx+i]
-		out := runs[si].outs[taken[si]]
-		taken[si]++
+		sh := &s.shards[si]
+		out := sh.outs[sh.taken]
+		sh.taken++
 		s.globalize(&out, si, startIdx+i)
 		outs[i] = out
 		if out.Accepted {
@@ -286,6 +307,52 @@ func (s *sharded) ActivateEpoch(startIdx int, reqs []trace.Request, close float6
 		s.probeGlobal(startIdx + i)
 	}
 	return outs, nil
+}
+
+// solveBusy runs every busy shard's epoch, closing at close, and returns
+// once all of them have finished. Starting a goroutine on an idle P
+// takes longer than a typical shard's epoch (DESIGN.md §12.1), so the
+// caller does not park while helpers start: it claims and solves shards
+// itself, and waits only for shards another goroutine has claimed. A
+// helper that starts after the counter is exhausted claims nothing and
+// exits; the caller never waits for it. With one busy shard or one
+// worker no goroutine starts at all.
+func (s *sharded) solveBusy(close float64) {
+	helpers := min(len(s.busy), s.workers) - 1
+	if helpers <= 0 {
+		for _, si := range s.busy {
+			s.solveShard(si, close)
+		}
+		return
+	}
+	c := &epochClaims{n: int32(len(s.busy))}
+	c.done.Add(len(s.busy))
+	for range helpers {
+		go s.claimShards(c, close)
+	}
+	s.claimShards(c, close)
+	c.done.Wait()
+}
+
+// claimShards solves busy shards claimed from c until every one has been
+// claimed. It reads s.busy and a shard's state only after claiming it,
+// while the epoch still waits on c.done.
+func (s *sharded) claimShards(c *epochClaims, close float64) {
+	for {
+		k := c.next.Add(1) - 1
+		if k >= c.n {
+			return
+		}
+		s.solveShard(s.busy[k], close)
+		c.done.Done()
+	}
+}
+
+// solveShard runs shard si's epoch over its group, writing the outcomes
+// into its reused buffer.
+func (s *sharded) solveShard(si int, close float64) {
+	sh := &s.shards[si]
+	sh.err = sh.eng.activate(sh.eng.Requests(), sh.group, close, sh.outs)
 }
 
 // globalize rewrites a shard-local outcome into global coordinates.

@@ -48,6 +48,42 @@ func shardFixture(t *testing.T, spec string, shards, length int, meanIA float64,
 	}
 }
 
+// scaleFixture reads the committed 64c8g workload (testdata/scale).
+func scaleFixture(t *testing.T) (*task.Set, *trace.Trace) {
+	t.Helper()
+	set, err := task.ReadFile("../../testdata/scale/taskset.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadFile("../../testdata/scale/trace-VT-000.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, tr
+}
+
+// driveEpochs admits reqs[lo:hi] through d in the batch epochs
+// sim.RunSharded forms: every arrival within window of the first, closing
+// at the window's end. each, when non-nil, sees every epoch's outcomes.
+func driveEpochs(t *testing.T, d Driver, reqs []trace.Request, lo, hi int, window float64, each func([]Outcome)) {
+	t.Helper()
+	for i := lo; i < hi; {
+		j := i + 1
+		for j < hi && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
+			j++
+		}
+		close := max(reqs[i].Arrival+window, reqs[j-1].Arrival)
+		outs, err := d.ActivateEpoch(i, reqs[i:j], close)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if each != nil {
+			each(outs)
+		}
+		i = j
+	}
+}
+
 // TestNewShardedOneShardIsEngine: with 0 or 1 shards NewSharded returns
 // the bare Engine, its solver built by NewSolver when the Config has
 // none; a negative count is an error.
@@ -197,21 +233,9 @@ func TestShardedEpochSampleCounters(t *testing.T) {
 	tr, build := shardFixture(t, "16c2g", 4, 160, 0.4, 83)
 	var samples []StateSample
 	s := build(func(got StateSample) { samples = append(samples, got) })
-	const window = 1.0
 	reqs := tr.Requests
 	multi := false
-	for i := 0; i < len(reqs); {
-		j := i + 1
-		for j < len(reqs) && reqs[j].Arrival <= reqs[i].Arrival+window+sched.Eps {
-			j++
-		}
-		multi = multi || j-i > 1
-		close := max(reqs[i].Arrival+window, reqs[j-1].Arrival)
-		if _, err := s.ActivateEpoch(i, reqs[i:j], close); err != nil {
-			t.Fatal(err)
-		}
-		i = j
-	}
+	driveEpochs(t, s, reqs, 0, len(reqs), 1, func(outs []Outcome) { multi = multi || len(outs) > 1 })
 	if !multi {
 		t.Fatal("no epoch held more than one request")
 	}
@@ -222,6 +246,66 @@ func TestShardedEpochSampleCounters(t *testing.T) {
 		if got.Req != i || got.Requests != got.Req+1 || got.Accepted+got.Rejected != got.Requests {
 			t.Fatalf("sample %d: Req %d, Requests %d, Accepted %d, Rejected %d; want Req %d, Requests Req+1 = Accepted+Rejected",
 				i, got.Req, got.Requests, got.Accepted, got.Rejected, i)
+		}
+	}
+}
+
+// TestShardedFanOutMatchesSerial: which goroutine solves a shard changes
+// nothing. The committed 64c8g fixture runs in four shards through
+// hundreds of batch epochs with every shard solved by the caller
+// (workers 1), with the computed worker count, and with a helper for
+// every busy shard beyond the first; the outcomes and the Finalize JSON
+// must be identical. Under the race detector this also runs helpers that
+// start after their epoch's shards are all claimed against the next
+// epoch's reuse of the shard buffers.
+func TestShardedFanOutMatchesSerial(t *testing.T) {
+	set, tr := scaleFixture(t)
+	run := func(workers int) (outs []Outcome, final []byte, multiBusy int) {
+		d, err := NewSharded(Config{Platform: set.Platform, TaskSet: set, RecordExecution: true}, ShardConfig{
+			Shards:    4,
+			NewSolver: func() core.Solver { return &core.Heuristic{Cache: sched.NewFeasCache(0)} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := d.(*sharded)
+		if workers > 0 {
+			s.workers = workers
+		}
+		driveEpochs(t, s, tr.Requests, 0, len(tr.Requests), 1, func(got []Outcome) {
+			outs = append(outs, got...)
+			if len(s.busy) > 1 {
+				multiBusy++
+			}
+		})
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		final, err = json.Marshal(s.Finalize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs, final, multiBusy
+	}
+	serialOuts, serialJSON, multiBusy := run(1)
+	t.Logf("%d epochs with more than one busy shard", multiBusy)
+	if multiBusy < 200 {
+		t.Fatalf("%d epochs with more than one busy shard; the fixture no longer fans out", multiBusy)
+	}
+	// 0 keeps the computed min(shards, GOMAXPROCS); 4 starts helpers even
+	// at GOMAXPROCS 1.
+	for _, workers := range []int{0, 4} {
+		outs, final, _ := run(workers)
+		if len(outs) != len(serialOuts) {
+			t.Fatalf("workers %d: %d outcomes, serial %d", workers, len(outs), len(serialOuts))
+		}
+		for i := range outs {
+			if outs[i] != serialOuts[i] {
+				t.Fatalf("workers %d: outcome %d = %+v, serial %+v", workers, i, outs[i], serialOuts[i])
+			}
+		}
+		if !bytes.Equal(final, serialJSON) {
+			t.Fatalf("workers %d: Finalize JSON differs from the serial run", workers)
 		}
 	}
 }

@@ -60,15 +60,16 @@ const chromePid = 1
 // usec converts simulated time to exported microseconds (1 unit = 1 s).
 func usec(t float64) float64 { return t * 1e6 }
 
-// WriteChromeTrace exports the timeline in Chrome trace-event format.
-// names labels the resource tracks; missing entries fall back to "R<id>".
+// WriteChromeTrace exports the timeline in Chrome trace-event format, one
+// track per resource that carries an event. names labels the tracks;
+// missing entries fall back to "R<id>".
 func WriteChromeTrace(w io.Writer, tl *Timeline, names []string) error {
 	var events []any
 	events = append(events, chromeMeta{
 		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
 		Args: chromeMetaArgs{Name: "predrm simulation"},
 	})
-	for res := 0; res < tl.Resources; res++ {
+	for _, res := range tl.Used {
 		name := fmt.Sprintf("R%d", res)
 		if res < len(names) && names[res] != "" {
 			name = names[res]

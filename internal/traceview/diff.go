@@ -23,7 +23,8 @@ type Summary struct {
 	DeadlineMisses                           int
 	// MakeSpan is the last adaptive completion time.
 	MakeSpan float64
-	// MeanUtilization averages the per-resource busy fractions.
+	// MeanUtilization averages the busy fractions of the resources that
+	// carry an event.
 	MeanUtilization float64
 	// Solver latency percentiles in seconds.
 	SolverP50, SolverP95, SolverMax float64

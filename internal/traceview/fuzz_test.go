@@ -17,6 +17,7 @@ import (
 // violations, never a panic.
 func FuzzDecodeTimeline(f *testing.F) {
 	f.Add([]byte(negResTrace))
+	f.Add([]byte(hugeResTrace))
 	f.Add([]byte(`{"seq":0,"t":0,"type":"job_start","req":-3,"task":0,"res":-1}` + "\n"))
 	if golden, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "events.golden.jsonl")); err == nil {
 		lines := strings.SplitAfter(string(golden), "\n")

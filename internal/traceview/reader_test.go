@@ -197,3 +197,36 @@ func TestReportSurvivesOutOfRangeResource(t *testing.T) {
 		t.Fatalf("report does not show the diagnostic:\n%s", out.String())
 	}
 }
+
+// hugeResTrace is a one-line trace naming the largest valid resource id.
+const hugeResTrace = `{"seq":0,"t":0,"type":"admit","req":0,"task":0,"res":1048575,"reason":"plain"}
+`
+
+// TestReportBoundedByUsedResources: a single event naming resource
+// 1048575 yields one utilization line and one Chrome track, not one per
+// id below it.
+func TestReportBoundedByUsedResources(t *testing.T) {
+	d, err := Read(strings.NewReader(hugeResTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Events) != 1 || len(d.Diags) != 0 {
+		t.Fatalf("got %d events and diagnostics %v, want 1 event and none", len(d.Events), d.Diags)
+	}
+	tl := BuildTimeline(d)
+	var report bytes.Buffer
+	if err := WriteReport(&report, tl, platform.New(5, 1), 40); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(report.String(), "utilization "); n != 1 || !strings.Contains(report.String(), "utilization R1048575:") ||
+		!strings.Contains(report.String(), "(1 resources referenced)") {
+		t.Fatalf("%d utilization lines, want one resource referenced and one line for R1048575:\n%s", n, report.String())
+	}
+	var chrome bytes.Buffer
+	if err := WriteChromeTrace(&chrome, tl, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(chrome.String(), `"thread_name"`); n != 1 || !strings.Contains(chrome.String(), `"tid":1048576`) {
+		t.Fatalf("%d Chrome tracks, want one for tid 1048576:\n%s", n, chrome.String())
+	}
+}

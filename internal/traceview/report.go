@@ -11,15 +11,16 @@ import (
 
 // WriteReport renders a human-readable analysis of the timeline: admission
 // and energy totals, reservation behaviour, deadline-slack distribution,
-// solver-latency percentiles, per-resource utilization, and (when the
-// platform is known and execution events are present) the executed
-// schedule as a gantt chart. ganttCols <= 0 disables the chart.
+// solver-latency percentiles, the utilization of each resource that
+// carries an event, and (when the platform is known and execution events
+// are present) the executed schedule as a gantt chart. ganttCols <= 0
+// disables the chart.
 func WriteReport(w io.Writer, tl *Timeline, plat *platform.Platform, ganttCols int) error {
 	sum := tl.Summarize()
 	p := func(format string, args ...any) {
 		fmt.Fprintf(w, format+"\n", args...)
 	}
-	p("trace span:        t=[%.3f, %.3f] (%d resources referenced)", tl.Start, tl.End, tl.Resources)
+	p("trace span:        t=[%.3f, %.3f] (%d resources referenced)", tl.Start, tl.End, len(tl.Used))
 	p("requests:          %d arrivals, %d admitted, %d rejected (%.2f%%)",
 		sum.Requests, sum.Admitted, sum.Rejected, sum.RejectionPct)
 	p("energy:            %.2f J total = %.2f exec + %.2f migration (%d migrations)",
@@ -44,8 +45,8 @@ func WriteReport(w io.Writer, tl *Timeline, plat *platform.Platform, ganttCols i
 	p("in-flight peak:    %d jobs", sum.InFlightPeak)
 
 	util := tl.Utilization()
-	for res, u := range util {
-		p("utilization %-6s %5.1f%%", resourceName(plat, res)+":", 100*u)
+	for k, res := range tl.Used {
+		p("utilization %-6s %5.1f%%", resourceName(plat, res)+":", 100*util[k])
 	}
 	if tl.Dropped > 0 {
 		p("ring drops:        %d events lost (derived numbers are lower bounds)", tl.Dropped)

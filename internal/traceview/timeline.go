@@ -79,9 +79,14 @@ type Point struct {
 // intervals, per-request outcomes, and the derived series the report,
 // exporters, auditor, and diff all consume.
 type Timeline struct {
-	// Resources is the number of resources referenced by the trace
-	// (max id + 1); the platform itself is not serialised into traces.
+	// Resources is one more than the largest resource id in the trace;
+	// the platform itself is not serialised into traces.
 	Resources int
+	// Used lists, ascending, the ids of the resources that carry at
+	// least one event. Per-resource output (utilization lines, Chrome
+	// tracks) covers these only, so a single event naming a huge id
+	// costs one row, not one per id below it.
+	Used []int
 	// Start and End bound the trace's simulated time.
 	Start, End float64
 	// Intervals holds execution and reservation intervals, sorted by
@@ -134,6 +139,7 @@ func BuildTimeline(d *Decoded) *Timeline {
 		Diags:    d.Diags,
 	}
 	open := make(map[int]openExec)    // resource -> running job
+	used := make(map[int]bool)        // resources that carry an event
 	resv := make(map[resvKey]float64) // pending reservation -> planned time
 	inFlight := 0
 	step := func(t float64, delta int) {
@@ -149,6 +155,10 @@ func BuildTimeline(d *Decoded) *Timeline {
 		}
 		if e.Res >= tl.Resources {
 			tl.Resources = e.Res + 1
+		}
+		if e.Res >= 0 && !used[e.Res] {
+			used[e.Res] = true
+			tl.Used = append(tl.Used, e.Res)
 		}
 		switch e.Type {
 		case telemetry.EvArrival:
@@ -239,6 +249,7 @@ func BuildTimeline(d *Decoded) *Timeline {
 	for res, oe := range open {
 		tl.closeExec(res, oe, tl.End)
 	}
+	sort.Ints(tl.Used)
 	sort.SliceStable(tl.Intervals, func(a, b int) bool {
 		if tl.Intervals[a].Resource != tl.Intervals[b].Resource {
 			return tl.Intervals[a].Resource < tl.Intervals[b].Resource
@@ -287,12 +298,16 @@ func (tl *Timeline) SortedRequests() []*RequestOutcome {
 // Span returns the trace's duration.
 func (tl *Timeline) Span() float64 { return tl.End - tl.Start }
 
-// Utilization returns each resource's executing fraction of the span.
+// Utilization returns the executing fraction of the span of each
+// resource in Used, in that order.
 func (tl *Timeline) Utilization() []float64 {
-	busy := make([]float64, tl.Resources)
+	busy := make([]float64, len(tl.Used))
 	for _, iv := range tl.Intervals {
 		if iv.Kind == IntervalExec {
-			busy[iv.Resource] += iv.End - iv.Start
+			// An execution interval opens on a job_start naming its
+			// resource, so the resource is in Used.
+			k := sort.SearchInts(tl.Used, iv.Resource)
+			busy[k] += iv.End - iv.Start
 		}
 	}
 	if span := tl.Span(); span > 0 {
