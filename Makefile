@@ -9,11 +9,11 @@ GOFMT ?= gofmt
 # the caller and helper goroutines, a late helper racing the next epoch,
 # and the wall-clock server), run the allocation budgets the race build
 # skips, audit the golden trace with the replay checker, fuzz the
-# heuristic against its seed implementation and the trace reader and spec
-# parser against hostile input, smoke-run the rmsim and experiments
-# command-line wiring and the examples, vet and test the bench/ module
-# against the current API, and gate the hot-path benchmarks against the
-# committed baseline (skip: BENCHCHECK=0).
+# heuristic against its seed implementation and the trace reader, spec
+# parser and request decoder against hostile input, smoke-run the rmsim
+# and experiments command-line wiring and the examples, vet and test the
+# bench/ module against the current API, and gate the hot-path benchmarks
+# against the committed baseline (skip: BENCHCHECK=0).
 check: vet fmtcheck build race allocs fuzz tracecheck cli benchmod benchcheck
 
 # fmtcheck fails when any Go file is not gofmt-formatted (gofmt -l output
@@ -59,13 +59,17 @@ allocs:
 # arbitrary JSONL through the trace reader, timeline, report, exporters,
 # auditor, diff and explanation, and arbitrary platform specs through
 # platform.Parse and its Spec round trip: hostile input yields
-# diagnostics or errors, never a panic.
+# diagnostics or errors, never a panic. Last, arbitrary bytes as a
+# POST /v1/requests body to a step-mode server: 200 exactly when a strict
+# decode accepts one well-formed request, otherwise a 400 with an error
+# body, never a 500, a panic or a deadline miss.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHeuristicMatchesReference$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzJobTermsMatchCPM$$' -fuzztime=10s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzFeasCacheMatchesDirect$$' -fuzztime=10s
 	$(GO) test ./internal/traceview -run '^$$' -fuzz '^FuzzDecodeTimeline$$' -fuzztime=10s
 	$(GO) test ./internal/platform -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime=10s
 
 # benchmod vets and tests the end-to-end benchmark harness, a module of its
 # own under bench/ that ./... at the root never reaches. go test, unlike

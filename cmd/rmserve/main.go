@@ -74,7 +74,7 @@ func main() {
 	if *shards > 1 {
 		// Multi-shard engines reject globally-stateful features (see
 		// engine.NewSharded); /trace/tail and /explainz go dark, the rest
-		// of the plane (metrics, statusz, SLO burn) stays live.
+		// of the plane (metrics, statusz) stays live.
 		if *traceOut != "" {
 			fatalf("-trace-out is not supported with -shards > 1 (per-shard event streams would interleave)")
 		}
@@ -192,10 +192,6 @@ func main() {
 				lat.Quantile(0.50)*1e6, lat.Quantile(0.95)*1e6, lat.Max*1e6, lat.Count)
 		}
 	}
-	rep := plane.SLO().Report()
-	fmt.Printf("slo:              rejection %.1f%% of %.0f%% budget; miss %.2g%% of %.2g%% budget\n",
-		100*rep.TotalRejectionRate, 100*rep.RejectionTarget,
-		100*rep.TotalMissRate, 100*rep.MissTarget)
 
 	if shutdownErr != nil {
 		fatalf("shutdown: %v", shutdownErr)

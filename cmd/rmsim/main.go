@@ -20,7 +20,7 @@
 // inspect with `tracetool explain` or the ops server's /explainz).
 // -ops-addr mounts the live introspection plane (internal/obs) for the
 // duration of the run: /metrics in Prometheus exposition format, /statusz
-// JSON RM state with SLO burn rates, /explainz decision narratives,
+// JSON RM state and solver counters, /explainz decision narratives,
 // /trace/tail live event streaming, and /debug/pprof; -ops-linger keeps
 // it up after the run so the end state can be inspected.
 package main
@@ -228,12 +228,9 @@ func main() {
 		}
 		return cli.Budgeted(*engName, s, budget, tracer)
 	}
-	var (
-		plane  *obs.Plane
-		opsSrv *obs.Server
-	)
+	var opsSrv *obs.Server
 	if *opsAddr != "" {
-		plane = obs.NewPlane(obs.Options{
+		plane := obs.NewPlane(obs.Options{
 			Snapshot: cfg.Metrics.Snapshot,
 			Tracer:   tracer,
 		})
@@ -346,16 +343,6 @@ func main() {
 			fmt.Printf("warmstart:        %.1f%% seed-feasible (%d/%d repairs), %d bound cuts\n",
 				100*float64(c["exact.warmstart.seeded"])/float64(attempts),
 				c["exact.warmstart.seeded"], attempts, c["exact.warmstart.bound_cuts"])
-		}
-	}
-	if plane != nil {
-		rep := plane.SLO().Report()
-		fmt.Printf("slo:              rejection %.1f%% of %.0f%% budget; miss %.2g%% of %.2g%% budget\n",
-			100*rep.TotalRejectionRate, 100*rep.RejectionTarget,
-			100*rep.TotalMissRate, 100*rep.MissTarget)
-		for _, w := range rep.Windows {
-			fmt.Printf("slo window %-6g rejection burn %.2f, miss burn %.2f\n",
-				w.Window, w.RejectionBurn, w.MissBurn)
 		}
 	}
 	if tracer != nil {

@@ -93,9 +93,9 @@ type Config struct {
 	// StateProbe, when non-nil, receives a point-in-time StateSample after
 	// every admission decision and once more when the run drains — the
 	// clock-agnostic hook the live introspection plane (internal/obs)
-	// mounts to publish RM state and feed SLO burn-rate windows. It is
-	// called synchronously from the activation, so it must be fast and
-	// must not retain the sample's Resources slice beyond the call.
+	// mounts to publish RM state. It is called synchronously from the
+	// activation, so it must be fast and must not retain the sample's
+	// Resources slice beyond the call.
 	StateProbe func(StateSample)
 	// Provenance enables per-activation decision-provenance recording: a
 	// ProvRecorder is attached to the solver (telemetry.ProvenanceAware)

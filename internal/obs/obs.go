@@ -10,20 +10,20 @@
 //		Snapshot: reg.Snapshot, // live /metrics source
 //		Tracer:   tracer,       // /trace/tail + drop counters
 //	})
-//	cfg.StateProbe = plane.Probe // virtual-clock RM state + SLO feed
+//	cfg.StateProbe = plane.Probe // virtual-clock RM state
 //	srv, _ := obs.Serve(":0", plane)
 //	defer srv.Close()
 //
 // Endpoints:
 //
 //	/metrics      Prometheus text exposition of the driver's registry
-//	              snapshot merged with the plane's own slo.* and
+//	              snapshot merged with the plane's own
 //	              telemetry.tracer.* instruments
 //	/healthz      liveness ("ok")
 //	/statusz      JSON RM state: in-flight jobs, per-resource occupancy
 //	              and reservations, FeasCache hit rate, solver
 //	              fallback/budget counters, per-reason admission
-//	              histograms, tracer drop counts, SLO burn rates
+//	              histograms, tracer drop counts
 //	/explainz     ?req=N: the request's decision-provenance narrative
 //	              reconstructed from the tracer's ring (JSON; ?text=1
 //	              renders the tracetool-explain text report). Needs the
@@ -72,8 +72,7 @@ type Options struct {
 // methods are safe for concurrent use.
 type Plane struct {
 	opts    Options
-	reg     *telemetry.Registry // plane-owned instruments (slo.*, tracer gauges)
-	slo     *SLO
+	reg     *telemetry.Registry // plane-owned instruments (tracer gauges)
 	state   atomic.Pointer[engine.StateSample]
 	started time.Time
 	mux     *http.ServeMux
@@ -86,7 +85,6 @@ func NewPlane(opts Options) *Plane {
 		reg:     telemetry.NewRegistry(),
 		started: time.Now(),
 	}
-	p.slo = NewSLO(SLOConfig{}, p.reg)
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("/", p.handleIndex)
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
@@ -102,17 +100,13 @@ func NewPlane(opts Options) *Plane {
 	return p
 }
 
-// Probe is the engine.Config.StateProbe hook: it feeds the SLO windows with
-// every sample and publishes it as the current RM state.
+// Probe is the engine.Config.StateProbe hook: it publishes every sample as
+// the current RM state.
 func (p *Plane) Probe(s engine.StateSample) {
-	p.slo.Record(s.Time, s.Requests, s.Rejected, s.Finished, s.DeadlineMisses)
 	// The simulator may reuse the sample's backing storage; keep a copy.
 	s.Resources = append([]engine.ResourceSample(nil), s.Resources...)
 	p.state.Store(&s)
 }
-
-// SLO exposes the plane's burn-rate tracker (for end-of-run summaries).
-func (p *Plane) SLO() *SLO { return p.slo }
 
 // Handler returns the plane's HTTP handler (also usable without Serve,
 // e.g. mounted into a larger mux or an httptest server).
@@ -153,7 +147,7 @@ func (p *Plane) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `predrm ops server
   /metrics      Prometheus text exposition
   /healthz      liveness
-  /statusz      JSON RM state + SLO burn rates
+  /statusz      JSON RM state and solver counters
   /explainz     ?req=N decision-provenance narrative (&text=1 for text)
   /trace/tail   live event stream (NDJSON; SSE with Accept: text/event-stream)
   /debug/pprof  profiling
@@ -183,8 +177,6 @@ type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// RM is the last published state sample (null before the first probe).
 	RM *engine.StateSample `json:"rm"`
-	// SLO carries the current burn-rate readings.
-	SLO SLOReport `json:"slo"`
 	// FeasCache summarises the exact solver's cross-activation pruning
 	// cache (zero when the heuristic engine is running).
 	FeasCache CacheStatus `json:"feascache"`
@@ -251,13 +243,11 @@ type TracerStatus struct {
 	Subscribers   int   `json:"subscribers"`
 }
 
-// CurrentStatus assembles the /statusz document (exported for the
-// end-of-run summary and tests).
-func (p *Plane) CurrentStatus() Status {
+// handleStatusz assembles and serves the /statusz document.
+func (p *Plane) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	st := Status{
 		UptimeSeconds: time.Since(p.started).Seconds(),
 		RM:            p.state.Load(),
-		SLO:           p.slo.Report(),
 	}
 	if snap := p.driverSnapshot(); snap != nil {
 		c := snap.Counters
@@ -290,14 +280,10 @@ func (p *Plane) CurrentStatus() Status {
 			Subscribers:   t.Subscribers(),
 		}
 	}
-	return st
-}
-
-func (p *Plane) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(p.CurrentStatus())
+	_ = enc.Encode(st)
 }
 
 // cacheStatus reads one solver's cache counters (prefix "exact" or "core").
@@ -359,6 +345,11 @@ func (p *Plane) handleExplainz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(x)
 }
 
+// maxTailBuffer bounds /trace/tail's ?buf: the subscriber channel is
+// allocated up front (about 96 B per slot), so an unbounded value would let
+// one request reserve gigabytes.
+const maxTailBuffer = 1 << 16
+
 // handleTail streams live events. The subscriber is bounded and
 // non-blocking on the emitting side: a slow client loses events (counted
 // on /statusz and /metrics) instead of stalling the run.
@@ -371,8 +362,8 @@ func (p *Plane) handleTail(w http.ResponseWriter, r *http.Request) {
 	buf := telemetry.DefaultSubscriberBuffer
 	if s := r.URL.Query().Get("buf"); s != "" {
 		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			http.Error(w, "buf must be a positive integer", http.StatusBadRequest)
+		if err != nil || n <= 0 || n > maxTailBuffer {
+			http.Error(w, fmt.Sprintf("buf must be an integer in [1, %d]", maxTailBuffer), http.StatusBadRequest)
 			return
 		}
 		buf = n

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,7 +150,7 @@ func TestOpsServerSmoke(t *testing.T) {
 	}
 
 	// /metrics passes the exposition validator and carries both the
-	// driver's instruments and the plane's own SLO gauges.
+	// driver's instruments and the plane's own tracer gauges.
 	resp, body = get(t, srv.URL()+"/metrics")
 	if got := resp.Header.Get("Content-Type"); got != ContentType {
 		t.Fatalf("metrics content-type %q, want %q", got, ContentType)
@@ -157,13 +159,16 @@ func TestOpsServerSmoke(t *testing.T) {
 		t.Fatalf("metrics failed validation: %v\n%s", errs, body)
 	}
 	for _, want := range []string{
-		"exact_cache_hits", "slo_rejection_burn_w50", "telemetry_tracer_dropped",
+		"exact_cache_hits", "telemetry_tracer_dropped",
 		"sim_solver_seconds_bucket",
 		"sim_reject_reason_no_feasible_mapping", "sim_admit_reason_",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing family %q:\n%s", want, body)
 		}
+	}
+	if regexp.MustCompile(`(?m)^(# [A-Z]+ )?slo_`).Match(body) {
+		t.Fatalf("metrics carries an slo_ family:\n%s", body)
 	}
 
 	// /statusz agrees with the run's own result and live counters.
@@ -197,18 +202,11 @@ func TestOpsServerSmoke(t *testing.T) {
 	if math.Abs(st.FeasCache.HitRate-wantRate) > 1e-9 {
 		t.Fatalf("statusz hit rate %v, want %v", st.FeasCache.HitRate, wantRate)
 	}
-	wantRej := float64(res.Rejected) / float64(res.Requests)
-	if math.Abs(st.SLO.TotalRejectionRate-wantRej) > 1e-9 {
-		t.Fatalf("SLO total rejection rate %v, result %v", st.SLO.TotalRejectionRate, wantRej)
+	if st.RM.DeadlineMisses != res.DeadlineMisses {
+		t.Fatalf("statusz deadline misses %d, result %d", st.RM.DeadlineMisses, res.DeadlineMisses)
 	}
-	if res.Accepted > 0 {
-		wantMiss := float64(res.DeadlineMisses) / float64(res.Accepted)
-		if math.Abs(st.SLO.TotalMissRate-wantMiss) > 1e-9 {
-			t.Fatalf("SLO total miss rate %v, result %v", st.SLO.TotalMissRate, wantMiss)
-		}
-	}
-	if len(st.SLO.Windows) != 2 {
-		t.Fatalf("SLO windows %+v", st.SLO.Windows)
+	if st.RM.Finished != res.Accepted {
+		t.Fatalf("drained run: statusz finished %d, result accepted %d", st.RM.Finished, res.Accepted)
 	}
 
 	// Per-reason admission histograms agree with the run's result.
@@ -332,7 +330,8 @@ func TestTailSSE(t *testing.T) {
 	}
 }
 
-// TestTailBadBuf rejects malformed ?buf values.
+// TestTailBadBuf rejects malformed ?buf values and any above the bound
+// (the subscriber channel is allocated up front).
 func TestTailBadBuf(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{})
 	plane := NewPlane(Options{Tracer: tracer})
@@ -341,10 +340,26 @@ func TestTailBadBuf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, q := range []string{"buf=-1", "buf=0", "buf=zebra"} {
-		if resp, _ := get(t, srv.URL()+"/trace/tail?"+q); resp.StatusCode != http.StatusBadRequest {
+	over := fmt.Sprintf("buf=%d", maxTailBuffer+1)
+	for _, q := range []string{"buf=-1", "buf=0", "buf=zebra", over} {
+		// Check the status before reading: an accepted tail streams until
+		// the tracer closes.
+		resp, err := http.Get(srv.URL() + "/trace/tail?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
 			t.Fatalf("?%s: %d, want 400", q, resp.StatusCode)
 		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), strconv.Itoa(maxTailBuffer)) {
+			t.Fatalf("?%s: error %q does not name the bound", q, body)
+		}
+	}
+	if tracer.Subscribers() != 0 {
+		t.Fatalf("rejected tails left %d subscribers", tracer.Subscribers())
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // telemetry.Snapshot.
 //
 // Instrument names in this repository are dotted ("sim.solver_seconds",
-// "slo.rejection.rate"); the exposition format only allows
+// "exact.cache.hits"); the exposition format only allows
 // [a-zA-Z_:][a-zA-Z0-9_:]*, so names are sanitised by mapping every
 // disallowed character to '_' and prefixing '_' when the first character
 // is a digit. The original dotted name is preserved in the HELP line so

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -45,6 +46,9 @@ type DecisionRecord struct {
 	Energy float64 `json:"energy"`
 }
 
+// maxBodyBytes caps a POST /v1/requests body.
+const maxBodyBytes = 1 << 20
+
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -64,10 +68,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // run one activation of the admission protocol, and return the decision.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var in SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// The body is exactly one object: a second value or trailing bytes
+	// would otherwise be dropped silently.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after the request object")
 		return
 	}
 	if ts := s.cfg.Engine.TaskSet; in.Type < 0 || (ts != nil && in.Type >= ts.Len()) {

@@ -374,9 +374,10 @@ func TestServeObsPlaneMounted(t *testing.T) {
 	}
 }
 
-// TestServeAPIValidation covers the rejection paths: malformed bodies,
-// out-of-range types, non-positive deadlines, unknown decision ids, and
-// the 503 intake fence after shutdown begins.
+// TestServeAPIValidation covers the rejection paths: malformed bodies
+// (a second object or bytes after the first included), out-of-range
+// types, non-positive deadlines, unknown decision ids, and the 503 intake
+// fence after shutdown begins.
 func TestServeAPIValidation(t *testing.T) {
 	set, _ := testWorkload(t, trace.LessTight, 1, 100, 9)
 	srv, err := New(Config{Engine: baseEngine(set), Clock: NewWallClock(1000)})
@@ -406,6 +407,12 @@ func TestServeAPIValidation(t *testing.T) {
 	}
 	if code := post(`{"type": 0, "deadline": 10, "bogus": 1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", code)
+	}
+	if code := post(`{"type":0,"deadline":10}{"type":1,"deadline":3}`); code != http.StatusBadRequest {
+		t.Fatalf("two objects: status %d", code)
+	}
+	if code := post(`{"type":0,"deadline":10} x`); code != http.StatusBadRequest {
+		t.Fatalf("trailing bytes: status %d", code)
 	}
 	resp, err := http.Get(srv.URL() + "/v1/decisions/0")
 	if err != nil {
